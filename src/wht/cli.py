@@ -145,7 +145,12 @@ def cmd_verify(cfg: RunConfig, out: str, parallel: bool = False) -> int:
     workers = None
     env = os.environ.get("WHT_THREADS")
     if env:
-        workers = max(1, int(env))
+        try:
+            workers = max(1, int(env))
+        except ValueError:
+            print(f"config error: WHT_THREADS must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     results = run_suites(cfg.tasks, cfg, parallel=parallel,
                          max_workers=workers)
     rows = []

@@ -51,15 +51,6 @@ def _inv_number(c):
     return 1.0 / c  # complex / float
 
 
-def close(a, b, tol: float) -> bool:
-    """Tolerance comparison for numeric mode; exact kinds compare exactly."""
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return a == b
-    d = abs(complex(a) - complex(b))
-    s = max(abs(complex(a)), abs(complex(b)), 1.0)
-    return d <= tol * s
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate Laurent polynomials
 #
@@ -529,14 +520,6 @@ def _exactish(ts: TSeries) -> bool:
     return True
 
 
-def truncated_mul(a: TSeries, b: TSeries) -> TSeries:
-    return a * b
-
-
-def truncated_invert(a: TSeries) -> TSeries:
-    return a.invert()
-
-
 def series_compose(f: TSeries, aux: str, g: TSeries) -> TSeries:
     """Substitute g for the variable `aux` in f.
 
@@ -809,7 +792,3 @@ class ZLaurent:
 
 def _zl_exactish(zl: ZLaurent) -> bool:
     return all(_exactish(ts) for ts in zl.coeffs.values())
-
-
-def laurent_project(f: ZLaurent, mode: str) -> ZLaurent:
-    return f.project(mode)

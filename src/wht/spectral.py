@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dense import horner, s_inv, s_mul
 from .model import AssumptionViolation, ModelParams
 from .ring import (
     MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError,
@@ -471,12 +472,12 @@ def initial_ramification(params: ModelParams, gap_tol: float = 1e-8):
 
     cs = np.array([complex(x) for x in P], dtype=complex)
     roots = np.roots(cs[::-1])
-    # one Newton polish on the exact-coefficient polynomial
-    dP = _poly_diff(P)
+    # one Newton polish, with the derivative taken on the exact coefficients
+    dcs = np.array([complex(x) for x in _poly_diff(P)], dtype=complex)
     polished = []
     for z0 in roots:
-        fz = _horner_c(P, z0)
-        dfz = _horner_c(dP, z0)
+        fz = horner(cs, z0)
+        dfz = horner(dcs, z0)
         if abs(dfz) > 0:
             z0 = z0 - fz / dfz
         polished.append(z0)
@@ -496,13 +497,6 @@ def initial_ramification(params: ModelParams, gap_tol: float = 1e-8):
                     "distinct-roots",
                     f"ramification points {i} and {j} collide")
     return polished
-
-
-def _horner_c(poly, z):
-    acc = 0j
-    for c in reversed(poly):
-        acc = acc * z + complex(c)
-    return acc
 
 
 @dataclass
@@ -541,18 +535,18 @@ def formal_branchpoints(sd: SpectralData, depth: int) -> BranchpointSet:
     prod_all = [np.array([1.0 + 0j] + [0] * (L - 1))]
     for c in sd.colors:
         for _ in range(c.mult):
-            prod_all = _wpoly_mul(prod_all, Ahat[c.label], L)
+            prod_all = _wpoly_mul(prod_all, Ahat[c.label])
     N = _wpoly_scale(prod_all, -1.0)
     for c in sd.colors:
         partial = [np.array([1.0 + 0j] + [0] * (L - 1))]
         for c2 in sd.colors:
             e = c2.mult - (1 if c2.label == c.label else 0)
             for _ in range(e):
-                partial = _wpoly_mul(partial, Ahat[c2.label], L)
-        term = _wpoly_mul(_wpoly_shift(_wpoly_diff(Ahat[c.label]), 1), partial, L)
+                partial = _wpoly_mul(partial, Ahat[c2.label])
+        term = _wpoly_mul(_wpoly_shift(_wpoly_diff(Ahat[c.label]), 1), partial)
         N = _wpoly_add(N, _wpoly_scale(term, c.side * c.mult))
     if params.has_exp:
-        term = _wpoly_mul(_wpoly_shift(_wpoly_diff(eta_hat), 1), prod_all, L)
+        term = _wpoly_mul(_wpoly_shift(_wpoly_diff(eta_hat), 1), prod_all)
         N = _wpoly_add(N, _wpoly_scale(term, complex(params.u_exp)))
     dN = _wpoly_diff(N)
 
@@ -563,14 +557,14 @@ def formal_branchpoints(sd: SpectralData, depth: int) -> BranchpointSet:
         w = np.zeros(L, dtype=complex)
         w[0] = a
         for _ in range(steps):
-            r = _wpoly_eval(N, w, L)
-            dr = _wpoly_eval(dN, w, L)
+            r = _wpoly_eval(N, w)
+            dr = _wpoly_eval(dN, w)
             if abs(dr[0]) < 1e-13:
                 raise AssumptionViolation(
                     "newton-stall", f"ramification Newton stalled at seed {a}")
-            w = w - _tseries_div(r, dr, L)
-        res = _wpoly_eval(N, w, L)
-        scale = max(1.0, float(np.max(np.abs(_wpoly_eval(dN, w, L)))))
+            w = w - s_mul(r, s_inv(dr))
+        res = _wpoly_eval(N, w)
+        scale = max(1.0, float(np.max(np.abs(_wpoly_eval(dN, w)))))
         residual = max(residual, float(np.max(np.abs(res))) / scale)
         formal.append(list(w[1:]) if L > 1 else [])
     return BranchpointSet(initial=seeds, formal=formal, depth=depth,
@@ -596,11 +590,15 @@ def _rescaled_poly(zl: ZLaurent, L: int, D2: int):
     return out
 
 
-def _wpoly_mul(a, b, L):
+# a w-polynomial is a list of dense t-series, one per power of w
+
+
+def _wpoly_mul(a, b):
+    L = len(a[0])
     out = [np.zeros(L, dtype=complex) for _ in range(len(a) + len(b) - 1)]
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] += np.convolve(x, y)[:L]
+            out[i + j] += s_mul(x, y)
     return out
 
 
@@ -631,20 +629,12 @@ def _wpoly_shift(a, k):
     return [np.zeros(L, dtype=complex)] * k + list(a)
 
 
-def _wpoly_eval(a, w, L):
-    acc = np.zeros(L, dtype=complex)
+def _wpoly_eval(a, w):
+    """Horner over s_mul: the t-series a(w(t))."""
+    acc = np.zeros(len(w), dtype=complex)
     for coeff in reversed(a):
-        acc = np.convolve(acc, w)[:L] + coeff
+        acc = s_mul(acc, w) + coeff
     return acc
-
-
-def _tseries_div(a, b, L):
-    out = np.zeros(L, dtype=complex)
-    b0 = b[0]
-    for k in range(L):
-        s = a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))
-        out[k] = s / b0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,14 @@ differential is a finite combination of pure poles at the branchpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
+from .dense import (
+    horner, l_add, l_coeff_product, l_low, l_mul, poly_shift, poly_sub,
+    s_compose, s_diff, s_exp, s_inv, s_mul, s_revert, s_sqrt, wseries,
+)
 from .model import AssumptionViolation, ModelParams
 from .ring import MPoly, RingUsageError, TSeries, is_zero
 from .spectral import SpectralData, assemble_curve
@@ -24,182 +28,6 @@ __all__ = [
     "instantiate_curve", "alpha0_curve", "local_data", "tr_compute",
     "compare_oracle", "residue_quadrature_check", "evaluate_oracle_wgn",
 ]
-
-
-# ---------------------------------------------------------------------------
-# dense complex series helpers (index = power of the local variable)
-#
-# All helpers propagate the array dtype, so the same code runs on float64
-# complex (the default) and on object arrays of arbitrary-precision numbers.
-
-
-def _sqrt_any(x):
-    if isinstance(x, (complex, float, np.complexfloating, np.floating)):
-        return np.sqrt(complex(x))
-    import mpmath
-    return mpmath.sqrt(x)
-
-
-def _exp_any(x):
-    if isinstance(x, (complex, float, np.complexfloating, np.floating)):
-        return np.exp(complex(x))
-    import mpmath
-    return mpmath.exp(x)
-
-
-def s_mul(a, b):
-    L = len(a)
-    return np.convolve(a, b)[:L]
-
-
-def s_inv(a):
-    L = len(a)
-    if a[0] == 0:
-        raise RingUsageError("series inverse needs nonzero constant term")
-    out = np.zeros(L, dtype=a.dtype)
-    out[0] = 1 / a[0]
-    for k in range(1, L):
-        out[k] = -out[0] * np.dot(a[1:k + 1], out[k - 1::-1][: k])
-    return out
-
-
-def s_compose(f, g):
-    """f(g(w)) with g[0] = 0, by Horner."""
-    L = len(f)
-    if abs(g[0]) > 0:
-        raise RingUsageError("composition target needs zero constant term")
-    acc = np.zeros(L, dtype=f.dtype)
-    for c in f[::-1]:
-        acc = s_mul(acc, g)
-        acc[0] += c
-    return acc
-
-
-def s_revert(f):
-    """Compositional inverse of f = f1 w + ... with f1 != 0."""
-    L = len(f)
-    if f[0] != 0 or f[1] == 0:
-        raise RingUsageError("reversion needs f(0)=0, f'(0)!=0")
-    g = np.zeros(L, dtype=f.dtype)
-    g[1] = 1 / f[1]
-    for k in range(2, L):
-        # choose g_k so that [w^k] f(g(w)) vanishes
-        val = s_compose(f, g)[k]
-        g[k] = -val / f[1]
-    return g
-
-
-def s_sqrt(a):
-    """Square root of a series with a[0] != 0 (principal branch at a[0])."""
-    L = len(a)
-    c0 = _sqrt_any(a[0])
-    h = a / a[0]
-    # exp(0.5 log h): log by integrating h'/h
-    dh = np.array([k * h[k] for k in range(1, L)] + [h[0] * 0], dtype=a.dtype)
-    lg = np.zeros(L, dtype=a.dtype)
-    hin = s_inv(h)
-    rat = s_mul(dh, hin)
-    for k in range(1, L):
-        lg[k] = rat[k - 1] / k
-    half = lg / 2
-    out = np.zeros(L, dtype=a.dtype)
-    out[0] = 1
-    pw = np.zeros(L, dtype=a.dtype)
-    pw[0] = 1
-    fact = 1
-    for k in range(1, L):
-        pw = s_mul(pw, half)
-        fact *= k
-        out = out + pw / fact
-    return c0 * out
-
-
-def s_diff(a):
-    return np.array([k * a[k] for k in range(1, len(a))] + [a[0] * 0],
-                    dtype=a.dtype)
-
-
-def poly_shift(poly, b, L, dtype=complex):
-    """Taylor coefficients of P(b + w) up to w^(L-1), by repeated synthetic
-    division (exact in the ambient arithmetic)."""
-    zero = b * 0
-    work = list(poly)
-    out = []
-    for _ in range(L):
-        if not work:
-            out.append(zero)
-            continue
-        rem = zero
-        for c in reversed(work):
-            rem = rem * b + c
-        out.append(rem)
-        # divide by (z - b)
-        new = []
-        acc = zero
-        for c in reversed(work):
-            acc = acc * b + c
-            new.append(acc)
-        work = list(reversed(new[:-1]))
-    return np.array(out, dtype=dtype)
-
-
-# Laurent-in-w values: (offset, array)
-
-def l_from_series(arr, offset=0):
-    return (offset, np.asarray(arr, dtype=complex))
-
-
-def l_mul(a, b, L):
-    oa, va = a
-    ob, vb = b
-    return (oa + ob, np.convolve(va, vb)[:L])
-
-
-def l_add(a, b, L):
-    oa, va = a
-    ob, vb = b
-    off = min(oa, ob)
-    n = max(oa + len(va), ob + len(vb)) - off
-    dtype = object if (np.asarray(va).dtype == object
-                       or np.asarray(vb).dtype == object) else complex
-    out = np.zeros(n, dtype=dtype)
-    out[oa - off: oa - off + len(va)] += va
-    out[ob - off: ob - off + len(vb)] += vb
-    return (off, out)
-
-
-def l_coeff(a, k):
-    off, v = a
-    idx = k - off
-    if 0 <= idx < len(v):
-        return v[idx]
-    return 0j
-
-
-def l_coeff_product(a, b, k):
-    """Coefficient of exponent k in the product a*b, together with the sum of
-    absolute values of its additive contributions (conditioning estimate)."""
-    oa, va = a
-    ob, vb = b
-    val = 0j
-    mag = 0.0
-    for j, x in enumerate(va):
-        if x == 0:
-            continue
-        idx = k - (oa + j) - ob
-        if 0 <= idx < len(vb):
-            term = x * vb[idx]
-            val += term
-            mag += float(abs(term))
-    return val, mag
-
-
-def l_low(a):
-    off, v = a
-    for i, x in enumerate(v):
-        if x != 0:
-            return off + i
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +45,16 @@ class NumericCurve:
     branchpoints: list
     tol: float
     max_depth: int
-    precision: int | None = None    # decimal digits; None = double precision
+    # internal-face weights p_k by face degree k: the disk comparison adds
+    # sum_k p_k x^(k-1) back to the oracle series
+    p_weights: dict = field(default_factory=dict)
     health: dict = field(default_factory=dict)
-    _series: dict = field(default_factory=dict)
     _local: dict = field(default_factory=dict)
 
-    @property
-    def dtype(self):
-        return complex if self.precision is None else object
-
     def X(self, z: complex) -> complex:
-        val = _horner(self.Np, z) / (z * _horner(self.Dp, z))
+        val = horner(self.Np, z) / (z * horner(self.Dp, z))
         if self.eta is not None:
-            val *= _exp_any(self.u_exp * _horner(self.eta, z))
+            val *= np.exp(self.u_exp * horner(self.eta, z))
         return val
 
     def Y(self, z: complex) -> complex:
@@ -242,46 +67,31 @@ class NumericCurve:
 
     def x_series(self, b: complex, L: int):
         """Taylor coefficients of X(b + w)."""
-        n = poly_shift(self.Np, b, L, self.dtype)
-        d = poly_shift(self.Dp, b, L, self.dtype)
-        zd = s_mul(poly_shift([b * 0, b * 0 + 1], b, L, self.dtype), d)
+        n = poly_shift(self.Np, b, L)
+        d = poly_shift(self.Dp, b, L)
+        zd = s_mul(poly_shift([b * 0, b * 0 + 1], b, L), d)
         out = s_mul(n, s_inv(zd))
         if self.eta is not None:
-            e = poly_shift(self.eta, b, L, self.dtype) * self.u_exp
+            e = poly_shift(self.eta, b, L) * self.u_exp
             c0 = e[0]
             e[0] = 0
-            expo = np.zeros(L, dtype=self.dtype)
-            expo[0] = 1
-            pw = expo.copy()
-            fact = 1
-            for k in range(1, L):
-                pw = s_mul(pw, e)
-                fact *= k
-                expo = expo + pw / fact
-            out = s_mul(out, expo) * _exp_any(c0)
+            out = s_mul(out, s_exp(e)) * np.exp(c0)
         return out
 
     def y_series(self, b: complex, L: int):
-        h = np.zeros(L, dtype=self.dtype)
+        h = np.zeros(L, dtype=complex)
         neg = [(-e, c) for e, c in self.H.items() if e < 0]
         pos = [(e, c) for e, c in self.H.items() if e >= 0]
         for e, c in pos:
-            h = h + c * poly_shift([b * 0] * e + [b * 0 + 1], b, L, self.dtype)
+            h = h + c * poly_shift([b * 0] * e + [b * 0 + 1], b, L)
         if neg:
-            zinv = s_inv(poly_shift([b * 0, b * 0 + 1], b, L, self.dtype))
+            zinv = s_inv(poly_shift([b * 0, b * 0 + 1], b, L))
             for e, c in neg:
                 pw = zinv.copy()
                 for _ in range(e - 1):
                     pw = s_mul(pw, zinv)
                 h = h + c * pw
         return s_mul(h, s_inv(self.x_series(b, L)))
-
-
-def _horner(poly, z):
-    acc = z * 0
-    for c in reversed(poly):
-        acc = acc * z + c
-    return acc
 
 
 def _branchpoint_poly(Np, Dp, eta, u_exp):
@@ -291,50 +101,33 @@ def _branchpoint_poly(Np, Dp, eta, u_exp):
     Npd = np.polyder(np.poly1d(Np[::-1])).c[::-1] if len(Np) > 1 else np.array([0j])
     Dpd = np.polyder(np.poly1d(Dp[::-1])).c[::-1] if len(Dp) > 1 else np.array([0j])
     P = np.convolve(np.convolve(z, Npd), Dp)
-    P = _poly_sub(P, np.convolve(Np, Dp))
-    P = _poly_sub(P, np.convolve(np.convolve(z, Np), Dpd))
+    P = poly_sub(P, np.convolve(Np, Dp))
+    P = poly_sub(P, np.convolve(np.convolve(z, Np), Dpd))
     if eta is not None and len(eta) > 1:
         ed = np.polyder(np.poly1d(eta[::-1])).c[::-1]
-        P = _poly_sub(P, -u_exp * np.convolve(np.convolve(z, ed),
-                                              np.convolve(Np, Dp)))
+        P = poly_sub(P, -u_exp * np.convolve(np.convolve(z, ed),
+                                             np.convolve(Np, Dp)))
     while len(P) > 1 and abs(P[-1]) < 1e-300:
         P = P[:-1]
     return P
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[:len(a)] += a
-    out[:len(b)] -= b
-    return out
-
-
 def instantiate_curve(sd: SpectralData, t_value: complex, tol: float = 1e-9,
-                      max_depth: int = 64, t_cap: float = 0.5,
-                      precision: int | None = None) -> NumericCurve:
+                      max_depth: int = 64, t_cap: float = 0.5) -> NumericCurve:
     """Evaluate the solved blocks at a complex t and locate the branchpoints.
 
     Raises AssumptionViolation when the configuration breaks the simple-
     ramification requirements (collisions, vanishing dY, points at zero).
-
-    With `precision` set (decimal digits), all curve data and the downstream
-    local series run in arbitrary-precision arithmetic; double precision is
-    enough through the first two recursion levels but loses the deeper
-    correlators, whose residue output sits under heavy cancellation.
     """
     t = complex(t_value)
     if abs(t) > t_cap:
         raise RingUsageError(f"|t| = {abs(t)} exceeds the configured cap {t_cap}")
     params = sd.params
-    conv = _scalar_converter(precision)
-    tv = conv(t)
-    dtype = complex if precision is None else object
-    one = np.array([conv(1)], dtype=dtype)
+    one = np.array([1 + 0j])
     Np, Dp = one, one
     tail = 0.0
     for c in sd.colors:
-        arr = _zl_to_poly(sd.A[c.label], tv, conv, dtype)
+        arr = _zl_to_poly(sd.A[c.label], t)
         tail = max(tail, _tail_ratio(sd.A[c.label], t))
         block = arr
         for _ in range(c.mult - 1):
@@ -344,41 +137,32 @@ def instantiate_curve(sd: SpectralData, t_value: complex, tol: float = 1e-9,
         else:
             Dp = np.convolve(Dp, block)
     _, _, Hzl = assemble_curve(sd)
-    H = {e: _eval_ts(ts, tv, conv) for e, ts in Hzl.coeffs.items()}
-    eta = _zl_to_poly(sd.eta, tv, conv, dtype) if params.has_exp else None
-    u_exp = conv(params.u_exp) if params.has_exp else None
+    H = Hzl.eval_at_t(t)
+    eta = _zl_to_poly(sd.eta, t) if params.has_exp else None
+    u_exp = complex(params.u_exp) if params.has_exp else None
 
-    P = _branchpoint_poly(np.asarray(Np, dtype=complex),
-                          np.asarray(Dp, dtype=complex),
-                          None if eta is None else np.asarray(eta, dtype=complex),
-                          None if u_exp is None else complex(u_exp))
+    P = _branchpoint_poly(Np, Dp, eta, u_exp)
     expected = (len([c for c in sd.colors if not is_zero(c.u)])
                 + (1 if params.has_exp else 0)) * params.D2
     if len(P) - 1 != expected:
         raise AssumptionViolation(
             "root-count", f"degree {len(P) - 1}, expected {expected}")
-    roots = np.roots(P[::-1])
-    # Newton polish against the working-precision numerator polynomial
-    Pw = _branchpoint_poly_generic(Np, Dp, eta, u_exp, conv)
-    dPw = np.array([k * Pw[k] for k in range(1, len(Pw))], dtype=dtype)
+    # companion-matrix roots, then one Newton step on P
+    dP = np.arange(1, len(P)) * P[1:]
     bps = []
-    steps = 1 if precision is None else max(2, (precision // 15) + 2)
-    for z0 in roots:
-        z0 = conv(complex(z0))
-        for _ in range(steps):
-            d = _horner(dPw, z0)
-            if abs(d) > 0:
-                z0 = z0 - _horner(Pw, z0) / d
-        bps.append(z0 if precision else complex(z0))
-    bps.sort(key=lambda z: (round(complex(z).real, 9), round(complex(z).imag, 9)))
+    for z0 in np.roots(P[::-1]):
+        z0 = complex(z0)
+        d = horner(dP, z0)
+        if abs(d) > 0:
+            z0 = z0 - horner(P, z0) / d
+        bps.append(complex(z0))
+    bps.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 
-    curve = NumericCurve(t=tv, Np=Np, Dp=Dp, H=H, eta=eta, u_exp=u_exp,
+    curve = NumericCurve(t=t, Np=Np, Dp=Dp, H=H, eta=eta, u_exp=u_exp,
                          branchpoints=bps, tol=tol, max_depth=max_depth,
-                         precision=precision)
+                         p_weights={k + 1: complex(pv)
+                                    for k, pv in enumerate(params.p)})
     curve.health["truncation_tail"] = tail
-    curve.health["p_weights"] = {
-        k + 1: complex(pv) for k, pv in enumerate(params.p)
-        if not isinstance(pv, MPoly)}
     if len(bps) > 1:
         scale = max(abs(b) for b in bps)
         curve.health["branchpoint_separation"] = min(
@@ -418,73 +202,12 @@ def alpha0_curve(params: ModelParams, t_value: complex, tol: float = 1e-9,
     return curve
 
 
-def _scalar_converter(precision):
-    """Exact-to-working-precision conversion (Fractions stay exact until the
-    final division)."""
-    if precision is None:
-        return lambda x: complex(x)
-    import mpmath
-    mpmath.mp.dps = precision
-
-    def conv(x):
-        from fractions import Fraction
-        if isinstance(x, Fraction):
-            return mpmath.mpc(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
-        if isinstance(x, int):
-            return mpmath.mpc(x)
-        if isinstance(x, complex):
-            return mpmath.mpc(x.real, x.imag)
-        return mpmath.mpc(x)
-    return conv
-
-
-def _eval_ts(ts, tv, conv):
-    acc = tv * 0
-    for c in reversed(ts.coeffs):
-        if isinstance(c, MPoly):
-            raise RingUsageError("symbolic coefficients cannot instantiate")
-        acc = acc * tv + conv(c)
-    return acc
-
-
-def _zl_to_poly(zl, tv, conv, dtype):
-    win = zl.window()
-    hi = win[1] if win else 0
-    out = np.zeros(hi + 1, dtype=dtype)
-    if dtype is object:
-        out[:] = [tv * 0] * (hi + 1)
-    for e, ts in zl.coeffs.items():
-        out[e] = _eval_ts(ts, tv, conv)
-    return out
-
-
-def _branchpoint_poly_generic(Np, Dp, eta, u_exp, conv):
-    """Numerator of X'/X in the working arithmetic (for Newton polish)."""
-    dtype = Np.dtype
-    z = np.array([conv(0), conv(1)], dtype=dtype)
-    Npd = np.array([k * Np[k] for k in range(1, len(Np))] or [conv(0)],
-                   dtype=dtype)
-    Dpd = np.array([k * Dp[k] for k in range(1, len(Dp))] or [conv(0)],
-                   dtype=dtype)
-    P = np.convolve(np.convolve(z, Npd), Dp)
-    P = _poly_sub_generic(P, np.convolve(Np, Dp))
-    P = _poly_sub_generic(P, np.convolve(np.convolve(z, Np), Dpd))
-    if eta is not None and len(eta) > 1:
-        ed = np.array([k * eta[k] for k in range(1, len(eta))], dtype=dtype)
-        P = _poly_sub_generic(P, -u_exp * np.convolve(np.convolve(z, ed),
-                                                      np.convolve(Np, Dp)))
-    while len(P) > 1 and abs(complex(P[-1])) < 1e-300:
-        P = P[:-1]
-    return P
-
-
-def _poly_sub_generic(a, b):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=a.dtype)
-    if a.dtype is np.dtype(object):
-        out[:] = [a[0] * 0] * n
-    out[:len(a)] += a
-    out[:len(b)] -= b
+def _zl_to_poly(zl, t):
+    """Coefficients of a nonnegative-window block at a numeric t."""
+    vals = zl.eval_at_t(t)
+    out = np.zeros(max(vals, default=0) + 1, dtype=complex)
+    for e, v in vals.items():
+        out[e] = v
     return out
 
 
@@ -563,9 +286,9 @@ def local_data(curve: NumericCurve, i: int, depth: int) -> LocalData:
     phi = xs.copy()
     phi[0] = 0.0
     phi[1] = 0.0                      # dX(b) = 0 within tolerance
-    base = np.zeros(L, dtype=curve.dtype)
+    base = np.zeros(L, dtype=complex)
     base[:len(phi) - 2] = phi[2:]
-    psi = np.zeros(L + 1, dtype=curve.dtype)
+    psi = np.zeros(L + 1, dtype=complex)
     psi[1:] = s_sqrt(base)[:L]        # psi = w sqrt(phi / w^2)
     psi = psi[:L]
     psi_inv = s_revert(psi)
@@ -573,7 +296,7 @@ def local_data(curve: NumericCurve, i: int, depth: int) -> LocalData:
     sp = s_diff(s)
 
     ssq = s_compose(s, s)
-    involution_residual = float(max(abs(v) for v in (ssq - _wseries(L))))
+    involution_residual = float(max(abs(v) for v in (ssq - wseries(L))))
     xcomp = s_compose(xs[:L], s)
     x_invariance = float(max(abs(v) for v in (xcomp - xs[:L])))
 
@@ -602,13 +325,6 @@ def local_data(curve: NumericCurve, i: int, depth: int) -> LocalData:
             f"{involution_residual:.2e}, {x_invariance:.2e}")
     curve._local[key] = ld
     return ld
-
-
-def _wseries(L):
-    w = np.zeros(L, dtype=complex)
-    if L > 1:
-        w[1] = 1.0
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +439,8 @@ def tr_compute(curve: NumericCurve, g_max: int, n_max: int,
             sym, asym = _symmetrize(tensor, n)
             omega.tensors[(g, n)] = sym
             omega.asymmetry[(g, n)] = float(asym)
-            # residue-extraction amplification: double precision loses about
-            # 16 - log10(condition) digits of the output coefficients
+            # residue-extraction amplification: the output coefficients keep
+            # about 16 - log10(condition) correct digits
             omega.condition[(g, n)] = float(condition)
     if quadrature_check:
         omega.quadrature = {
@@ -747,7 +463,7 @@ def _pole_series(loc: LocalData, bps, j, k, at_sigma: bool, L):
         arr[0] = 1.0
         return (-k, arr)
     delta = loc.b - bps[j]
-    base = loc.s.copy() if at_sigma else _wseries(L)
+    base = loc.s.copy() if at_sigma else wseries(L)
     base[0] += delta
     inv = s_inv(base)
     pw = inv
@@ -767,16 +483,16 @@ def _tr_step(omega: OmegaSet, locs, g, n, depth):
 
         def add_term(key, lau):
             if key in E:
-                E[key] = l_add(E[key], lau, L)
+                E[key] = l_add(E[key], lau)
             else:
                 E[key] = lau
 
-        sp_l = l_from_series(loc.sp, 0)
+        sp_l = (0, loc.sp)
 
         # bracket part 1: the genus-lowering term
         if g >= 1:
             if (g - 1, n + 1) == (0, 2):
-                diff = _wseries(L) - loc.s
+                diff = wseries(L) - loc.s
                 val = s_mul(loc.sp, s_inv(s_mul(diff[1:], diff[1:])))
                 add_term((), (-2, val))
             else:
@@ -793,7 +509,7 @@ def _tr_step(omega: OmegaSet, locs, g, n, depth):
         for h in range(g + 1):
             hp = g - h
             for csize in range(len(slots) + 1):
-                for C in _subsets(slots, csize):
+                for C in combinations(slots, csize):
                     Cp = [s for s in slots if s not in C]
                     if h == 0 and len(C) == 0:
                         continue
@@ -849,11 +565,6 @@ def _tr_step(omega: OmegaSet, locs, g, n, depth):
     return kept, condition
 
 
-def _subsets(items, size):
-    from itertools import combinations
-    return combinations(items, size)
-
-
 def _factor_terms(omega: OmegaSet, loc, bps, h, C, at_sigma, L):
     """Terms of one splitting factor with its first slot at w or s(w): list of
     (spectator key, Laurent).  The special two-point case produces the basis
@@ -864,7 +575,7 @@ def _factor_terms(omega: OmegaSet, loc, bps, h, C, at_sigma, L):
     if (h, k1) == (0, 2):
         # 1/(slot - z_c)^2 at slot = b_i + base(w) expands in the spectator
         # pole basis: sum_k (k+1) base^k / (z_c - b_i)^(k+2)
-        base = loc.s if at_sigma else _wseries(L)
+        base = loc.s if at_sigma else wseries(L)
         out = []
         pw = np.zeros(L, dtype=complex)
         pw[0] = 1.0
@@ -928,14 +639,15 @@ def residue_quadrature_check(omega: OmegaSet, locs, g, n, n_points: int = 400):
             for th in thetas:
                 w = rho * np.exp(1j * th)
                 z = loc.b + w
-                sw = _eval_series(loc.s, w)
-                sig = loc.b + sw
+                sig = loc.b + horner(loc.s, w)
+                spw = horner(loc.sp, w)
                 K = _kernel_value(curve, loc, zs[0], z, sig)
                 if (g, n) == (0, 3):
-                    br = (_om02(z, zs[1]) * _om02(sig, zs[2]) * _eval_series(loc.sp, w)
-                          + _om02(z, zs[2]) * _om02(sig, zs[1]) * _eval_series(loc.sp, w))
+                    # the two orderings of omega_{0,2}(z, z_a) omega_{0,2}(sig, z_b)
+                    br = (1.0 / (z - zs[1]) ** 2 * (1.0 / (sig - zs[2]) ** 2) * spw
+                          + 1.0 / (z - zs[2]) ** 2 * (1.0 / (sig - zs[1]) ** 2) * spw)
                 else:
-                    br = _eval_series(loc.sp, w) / (z - sig) ** 2
+                    br = spw / (z - sig) ** 2
                 acc += K * br * (1j * w)
             total += acc * (2 * np.pi / n_points) / (2j * np.pi)
         direct = omega.evaluate(g, n, zs)
@@ -943,21 +655,10 @@ def residue_quadrature_check(omega: OmegaSet, locs, g, n, n_points: int = 400):
     return worst
 
 
-def _om02(a, b):
-    return 1.0 / (a - b) ** 2
-
-
-def _eval_series(arr, w):
-    acc = 0j
-    for c in reversed(arr):
-        acc = acc * w + c
-    return acc
-
-
 def _kernel_value(curve: NumericCurve, loc: LocalData, z1, z, sig):
     num = 1.0 / (z1 - z) - 1.0 / (z1 - sig)
     w = z - loc.b
-    den = _eval_series(loc.kernel_den, w)
+    den = horner(loc.kernel_den, w)
     return 0.5 * num / den
 
 
@@ -1007,13 +708,13 @@ def compare_oracle(omega: OmegaSet, oracles: dict, curve: NumericCurve,
         for zs in pts:
             _guard_samples(curve, zs)
             xs = [curve.X(z) for z in zs]
-            xps = [_xprime(curve, z) for z in zs]
+            xps = [curve.Xp(z) for z in zs]
             if (g, n) == (0, 1):
                 tr_val = curve.Y(zs[0]) * xps[0]
                 base, tail = evaluate_oracle_wgn(oracles[(0, 1)], curve.t,
                                                  [1.0 / xs[0]], with_tail=True)
-                shift = sum(complex(curve_shift_weight(curve, k)) * xs[0] ** (k - 1)
-                            for k in range(1, _d1_of(curve, oracles) + 1))
+                shift = sum(pk * xs[0] ** (k - 1)
+                            for k, pk in curve.p_weights.items())
                 or_val = (base + shift) * xps[0]
             elif (g, n) == (0, 2):
                 tr_val = 1.0 / (zs[0] - zs[1]) ** 2
@@ -1024,8 +725,7 @@ def compare_oracle(omega: OmegaSet, oracles: dict, curve: NumericCurve,
                           + xps[0] * xps[1] / (xs[0] - xs[1]) ** 2)
             else:
                 tr_val, cond = omega.evaluate(g, n, zs, with_condition=True)
-                eps = 2.3e-16 if curve.precision is None else 10.0 ** (1 - curve.precision)
-                floors.append(float(cond) * eps)
+                floors.append(float(cond) * 2.3e-16)
                 base, tail = evaluate_oracle_wgn(oracles[(g, n)], curve.t,
                                                  [1.0 / x for x in xs],
                                                  with_tail=True)
@@ -1052,19 +752,3 @@ def _guard_samples(curve: NumericCurve, zs):
         for b in curve.branchpoints:
             if abs(z - b) < 0.05 * scale:
                 raise RingUsageError(f"sample {z} too close to branchpoint {b}")
-
-
-def _xprime(curve: NumericCurve, z):
-    return curve.x_series(z, 2)[1]
-
-
-# the shift weights of the disk comparison live on the curve: they are the
-# internal-face weights, retrievable from the solved data by the caller; the
-# curve stores them when built from SpectralData
-def curve_shift_weight(curve: NumericCurve, k: int):
-    return curve.health.get("p_weights", {}).get(k, 0.0)
-
-
-def _d1_of(curve: NumericCurve, oracles) -> int:
-    pw = curve.health.get("p_weights", {})
-    return max(pw) if pw else 0

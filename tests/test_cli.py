@@ -159,3 +159,12 @@ def test_parallel_verify(tmp_path):
         assert cli.main(["verify", "--config", path, "--parallel"]) == 0
     finally:
         del os.environ["WHT_THREADS"]
+
+
+def test_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch):
+    data = json.loads(json.dumps(BASE_CFG))
+    data["output"]["dir"] = str(tmp_path / "out")
+    path = write_cfg(tmp_path, data)
+    monkeypatch.setenv("WHT_THREADS", "abc")
+    assert cli.main(["verify", "--config", path, "--parallel"]) == cli.EXIT_CONFIG
+    assert "WHT_THREADS" in capsys.readouterr().err

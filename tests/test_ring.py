@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wht.ring import (
     MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError,
-    divided_difference, laurent_project, mpoly_div_linear,
-    series_compose, truncated_invert, truncated_mul,
+    divided_difference, mpoly_div_linear, series_compose,
 )
 
 
@@ -17,16 +16,16 @@ def ts(*coeffs):
 xb = MPoly.var("xb")
 
 
-# --- truncated_mul -----------------------------------------------------------
+# --- TSeries multiplication --------------------------------------------------
 
 def test_mul_difference_of_squares():
-    assert truncated_mul(ts(1, 1, 0), ts(1, -1, 0)) == ts(1, 0, -1)
+    assert ts(1, 1, 0) * ts(1, -1, 0) == ts(1, 0, -1)
 
 
 def test_mul_with_marking_variable_truncates():
     a = TSeries(1, [xb, MPoly.const(1)])
     b = TSeries(1, [xb, MPoly.const(-1)])
-    out = truncated_mul(a, b)
+    out = a * b
     assert out.coeffs[0] == xb * xb
     assert out.coeffs[1] == MPoly()
 
@@ -35,33 +34,33 @@ def test_mul_alternating_convolution():
     # direct convolution of sum(t^k) and sum((-t)^k) at T=4: 1 + t^2 + t^4
     a = ts(1, 1, 1, 1, 1)
     b = ts(1, -1, 1, -1, 1)
-    assert truncated_mul(a, b) == ts(1, 0, 1, 0, 1)
+    assert a * b == ts(1, 0, 1, 0, 1)
 
 
 def test_mul_rejects_mixed_orders():
     with pytest.raises(RingUsageError):
-        truncated_mul(ts(1, 0), ts(1, 0, 0))
+        ts(1, 0) * ts(1, 0, 0)
 
 
-# --- truncated_invert --------------------------------------------------------
+# --- TSeries inversion -------------------------------------------------------
 
 def test_invert_geometric():
-    assert truncated_invert(ts(1, -1, 0, 0)) == ts(1, 1, 1, 1)
+    assert ts(1, -1, 0, 0).invert() == ts(1, 1, 1, 1)
 
 
 def test_invert_constant():
-    assert truncated_invert(ts(2, 0, 0)) == ts(F(1, 2), 0, 0)
+    assert ts(2, 0, 0).invert() == ts(F(1, 2), 0, 0)
 
 
 def test_invert_with_parameter_value():
-    out = truncated_invert(ts(1, 3, 0))
+    out = ts(1, 3, 0).invert()
     assert out == ts(1, -3, 9)
-    assert truncated_mul(ts(1, 3, 0), out) == ts(1, 0, 0)
+    assert ts(1, 3, 0) * out == ts(1, 0, 0)
 
 
 def test_invert_requires_unit():
     with pytest.raises(RingDomainError):
-        truncated_invert(ts(0, 1))
+        ts(0, 1).invert()
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,7 +68,7 @@ def test_invert_requires_unit():
        st.sampled_from([1, -1, 2, 3, -5]))
 def test_invert_roundtrip(tail, head):
     a = TSeries(4, [F(head)] + [F(c) for c in tail[1:]])
-    assert truncated_mul(a, truncated_invert(a)) == TSeries.const(4, 1)
+    assert a * a.invert() == TSeries.const(4, 1)
 
 
 # --- ring axioms (exact mode) ------------------------------------------------
@@ -127,28 +126,28 @@ def zl(order, d):
 
 def test_project_simple():
     f = zl(0, {-1: 1, 0: 2, 1: 3})
-    assert laurent_project(f, "lt") == zl(0, {-1: 1})
+    assert f.project("lt") == zl(0, {-1: 1})
 
 
 def test_project_nonnegative_part_of_inverse_series():
     # brace-style nonnegative part drops the z^-2 term
     f = zl(0, {-2: 1, 0: 5, 1: 1})
-    assert laurent_project(f, "ge") == zl(0, {0: 5, 1: 1})
+    assert f.project("ge") == zl(0, {0: 5, 1: 1})
 
 
 def test_project_binomial_negative_part():
     # z^-3 (1+z)^4, negative part: z^-3 + 4 z^-2 + 6 z^-1
     one_plus_z = zl(0, {0: 1, 1: 1})
     f = one_plus_z.power(4).zshift(-3)
-    assert laurent_project(f, "lt") == zl(0, {-3: 1, -2: 4, -1: 6})
+    assert f.project("lt") == zl(0, {-3: 1, -2: 4, -1: 6})
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=6))
 def test_project_modes_partition(d):
     f = zl(1, {e: c for e, c in d.items() if c})
-    assert laurent_project(f, "lt") + laurent_project(f, "ge") == f
-    assert laurent_project(f, "le") + laurent_project(f, "gt") == f
+    assert f.project("lt") + f.project("ge") == f
+    assert f.project("le") + f.project("gt") == f
 
 
 def test_zlaurent_invert_on_window():

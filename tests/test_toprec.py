@@ -1,16 +1,19 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from wht.dense import (
+    horner, poly_shift, s_compose, s_inv, s_mul, s_revert, s_sqrt, wseries,
+)
 from wht.model import EllBounds, ModelParams
 from wht.oracle import build_table, wgn_oracle
 from wht.ring import RingUsageError
 from wht.spectral import initial_ramification, solve_system
 from wht.toprec import (
-    alpha0_curve, compare_oracle, instantiate_curve, local_data, s_compose,
-    s_inv, s_mul, s_revert, s_sqrt, tr_compute, _eval_series, _kernel_value,
-    _wseries,
+    alpha0_curve, compare_oracle, instantiate_curve, local_data, tr_compute,
+    _kernel_value,
 )
 
 
@@ -35,7 +38,7 @@ def test_series_reversion_roundtrip():
     f = np.zeros(L, dtype=complex)
     f[1], f[2], f[3] = 2.0, 0.5, -1.0 + 0.3j
     g = s_revert(f)
-    assert np.max(np.abs(s_compose(f, g) - _wseries(L))) < 1e-12
+    assert np.max(np.abs(s_compose(f, g) - wseries(L))) < 1e-12
 
 
 def test_series_sqrt_and_inverse():
@@ -45,6 +48,33 @@ def test_series_sqrt_and_inverse():
     r = s_sqrt(a)
     assert np.max(np.abs(s_mul(r, r) - a)) < 1e-12
     assert np.max(np.abs(s_mul(a, s_inv(a)) - np.eye(1, L, 0)[0])) < 1e-12
+
+
+def random_poly(rng, deg):
+    return rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+
+
+def test_horner_matches_polyval():
+    rng = np.random.default_rng(17)
+    for deg in (0, 1, 4, 9):
+        P = random_poly(rng, deg)
+        for z in rng.normal(size=3) + 1j * rng.normal(size=3):
+            expect = np.polyval(P[::-1], z)
+            assert abs(horner(P, z) - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+def test_poly_shift_is_taylor_expansion():
+    # [w^k] P(b + w) = P^(k)(b) / k!, with zeros past the degree
+    rng = np.random.default_rng(23)
+    for deg, L in ((3, 6), (6, 4), (5, 6)):
+        P = random_poly(rng, deg)
+        b = complex(rng.normal(), rng.normal())
+        got = poly_shift(P, b, L)
+        assert got.dtype == complex and len(got) == L
+        p = np.poly1d(P[::-1])
+        for k in range(L):
+            expect = np.polyval(np.polyder(p, k), b) / math.factorial(k)
+            assert abs(got[k] - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
 # --- instantiation ----------------------------------------------------------------
@@ -135,8 +165,8 @@ def test_kernel_parity(curve10):
     for _ in range(5):
         w = rad * np.exp(2j * np.pi * rng.random())
         z = ld.b + w
-        sig = ld.b + _eval_series(ld.s, w)
-        spw = _eval_series(ld.sp, w)
+        sig = ld.b + horner(ld.s, w)
+        spw = horner(ld.sp, w)
         k1 = _kernel_value(curve10, ld, 5.0 + 2j, z, sig)
         k2 = _kernel_value(curve10, ld, 5.0 + 2j, sig, z)
         # parity of the (-1)-differential: the jacobian of the involution
