@@ -21,7 +21,7 @@ from .spectral import (
     compute_Z, formal_branchpoints, solve_system, spectral_export,
 )
 from .toprec import compare_oracle, instantiate_curve, tr_compute
-from .verify import run_suites, tr_sample_points
+from .verify import run_suites, tr_oracle_depth, tr_sample_points
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -124,7 +124,7 @@ def cmd_tr(cfg: RunConfig, out: str) -> int:
         "omega": omega.to_records(),
         "asymmetry": {f"{g},{n}": v for (g, n), v in omega.asymmetry.items()},
     }
-    d_max = min(cfg.d_max, 6)
+    d_max = tr_oracle_depth(cfg.model, cfg.d_max)
     bounds = EllBounds(run_max=cfg.run_max, exp_run_max=cfg.exp_run_max)
     table = build_table(cfg.model, d_max, bounds)
     targets = [(0, 1), (0, 2)]

@@ -8,11 +8,12 @@ parse -> emit -> parse is the identity and artifacts are reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .model import ModelParams
 from .ring import MPoly
+from .toprec import T_CAP
 
 
 class ConfigError(Exception):
@@ -48,52 +49,37 @@ class RunConfig:
     tasks: tuple = KNOWN_TASKS
     out_dir: str = "out"
     formats: tuple = ("json",)
-    raw: dict = field(default_factory=dict)
 
 
-def _scalar_in(v, mode):
+def _scalar_in(v, key):
+    """Weights are exact: "2/3"-style strings, integers, or integral floats."""
     if isinstance(v, str):
-        return Fraction(v) if mode == "exact" else complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
-    if mode == "exact":
-        if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, float) and v == int(v):
-            return Fraction(int(v))
-        raise ConfigError(f"exact mode needs rational values, got {v!r}")
-    return complex(v)
-
-
-def _scalar_out(v):
-    if isinstance(v, (int, Fraction)):
-        return str(v)
-    z = complex(v)
-    return [z.real, z.imag]
+        return Fraction(v)
+    if isinstance(v, int) or (isinstance(v, float) and v.is_integer()):
+        return Fraction(int(v))
+    raise ConfigError(f"model.{key} needs rational values "
+                      f"(an integer or a string like \"2/3\"), got {v!r}")
 
 
 def parse_config(data: dict) -> RunConfig:
     try:
         m = data["model"]
+        # rationals are the only scalar kind; echoes of older runs say "exact"
         mode = m.get("scalar_mode", "exact")
+        if mode != "exact":
+            raise ConfigError(f"model.scalar_mode must be \"exact\", got {mode!r}")
         params = ModelParams(
             m=int(m["m"]), r=int(m["r"]),
-            u=tuple(_scalar_in(x, mode) for x in m["u"]),
-            p=tuple(_scalar_in(x, mode) for x in m["p"]),
-            q=tuple(_scalar_in(x, mode) for x in m["q"]),
+            u=tuple(_scalar_in(x, "u") for x in m["u"]),
+            p=tuple(_scalar_in(x, "p") for x in m["p"]),
+            q=tuple(_scalar_in(x, "q") for x in m["q"]),
             T=int(m.get("T", data.get("spectral", {}).get("T", 4))),
-            u_exp=(_scalar_in(m["u_exp"], mode)
+            u_exp=(_scalar_in(m["u_exp"], "u_exp")
                    if m.get("u_exp") is not None else None),
-            scalar_mode=mode,
             allow_zero_u=bool(m.get("allow_zero_u", False)),
         )
         if "spectral" in data and "T" in data["spectral"]:
-            sT = int(data["spectral"]["T"])
-            if sT != params.T:
-                params = ModelParams(
-                    m=params.m, r=params.r, u=params.u, p=params.p, q=params.q,
-                    T=sT, u_exp=params.u_exp, scalar_mode=params.scalar_mode,
-                    allow_zero_u=params.allow_zero_u)
+            params = replace(params, T=int(data["spectral"]["T"]))
         oracle = data.get("oracle", {})
         toprec = data.get("toprec", {})
         tv = toprec.get("t_value", [1e-3, 0.0])
@@ -121,7 +107,6 @@ def parse_config(data: dict) -> RunConfig:
             tasks=tasks,
             out_dir=str(output.get("dir", "out")),
             formats=formats,
-            raw=data,
         )
     except ConfigError:
         raise
@@ -140,6 +125,9 @@ def _validate_ranges(cfg: RunConfig):
         raise ConfigError("toprec.g_max in 0..3 and n_max in 1..5")
     if cfg.tol <= 0:
         raise ConfigError("toprec.tol must be positive")
+    if abs(cfg.toprec_t) > T_CAP:
+        raise ConfigError(f"toprec.t_value must have |t| <= {T_CAP}, "
+                          f"got |t| = {abs(cfg.toprec_t)}")
     if cfg.model.has_exp and cfg.exp_run_max is None:
         raise ConfigError("exponential models need oracle.exp_run_max")
 
@@ -149,13 +137,12 @@ def emit_config(cfg: RunConfig) -> dict:
     out = {
         "model": {
             "m": m.m, "r": m.r,
-            "u": [_scalar_out(x) for x in m.u],
-            "p": [_scalar_out(x) for x in m.p],
-            "q": [_scalar_out(x) for x in m.q],
+            "u": [str(x) for x in m.u],
+            "p": [str(x) for x in m.p],
+            "q": [str(x) for x in m.q],
             "T": m.T,
-            "u_exp": (_scalar_out(m.u_exp) if m.u_exp is not None
+            "u_exp": (str(m.u_exp) if m.u_exp is not None
                       and not isinstance(m.u_exp, MPoly) else None),
-            "scalar_mode": m.scalar_mode,
             "allow_zero_u": m.allow_zero_u,
         },
         "oracle": {

@@ -20,30 +20,30 @@ class AssumptionViolation(Exception):
         super().__init__(f"{clause}" + (f": {detail}" if detail else ""))
 
 
-def parse_scalar(s, mode: str):
-    """Accept Fractions/ints/strings like '2/3' (exact) or numbers (numeric)."""
-    if isinstance(s, str):
-        if mode == "exact":
-            return Fraction(s)
-        return complex(s)
-    if mode == "exact":
-        if isinstance(s, (int, Fraction)):
-            return s
-        raise ValueError(f"exact mode needs rational values, got {s!r}")
-    return complex(s)
+def parse_scalar(s):
+    """Strings like '2/3' become Fractions; other values pass through
+    unchanged (ModelParams rejects anything that is not exact)."""
+    return Fraction(s) if isinstance(s, str) else s
+
+
+def _check_exact(name: str, x):
+    if not isinstance(x, (int, Fraction, MPoly)):
+        raise ValueError(f"{name} entries must be exact rationals or MPoly "
+                         f"values, got {x!r}")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Weight data: u-parameters of the content weight, face-degree weights,
-    truncations, and the scalar kind every computation will use.
+    """Weight data: u-parameters of the content weight, face-degree weights
+    and the truncation order.
 
     `u` holds the m numerator parameters first, then the r denominator ones.
-    `u_exp` switches on the rational-exponential extension.  Entries may be
-    exact rationals, complex numbers, or polynomial values (used by the
-    deformation tests); zero entries are rejected unless `allow_zero_u` since
-    the curve-level operations assume nonzero weights, while the series-level
-    solver tolerates zeros (a zero weight simply trivialises its color).
+    `u_exp` switches on the rational-exponential extension.  Entries are
+    exact rationals (int or Fraction), or MPoly values over Fraction for the
+    deformation variables "al" and "v".  Zero entries are rejected unless
+    `allow_zero_u` since the curve-level operations assume nonzero weights,
+    while the series-level solver tolerates zeros (a zero weight simply
+    trivialises its color).
     """
 
     m: int
@@ -53,7 +53,6 @@ class ModelParams:
     q: tuple
     T: int
     u_exp: object = None
-    scalar_mode: str = "exact"
     allow_zero_u: bool = False
 
     def __post_init__(self):
@@ -65,8 +64,11 @@ class ModelParams:
             raise ValueError("need D1, D2 >= 1")
         if self.T < 0:
             raise ValueError("need T >= 0")
-        if self.scalar_mode not in ("exact", "numeric"):
-            raise ValueError("scalar_mode must be 'exact' or 'numeric'")
+        for name in ("u", "p", "q"):
+            for x in getattr(self, name):
+                _check_exact(name, x)
+        if self.u_exp is not None:
+            _check_exact("u_exp", self.u_exp)
         if not self.allow_zero_u:
             for uc in self.u:
                 if is_zero(uc):
@@ -77,18 +79,14 @@ class ModelParams:
         object.__setattr__(self, "q", tuple(self.q))
 
     @staticmethod
-    def make(m, r, u, p, q, T, u_exp=None, scalar_mode="exact",
-             allow_zero_u=False) -> "ModelParams":
-        conv = lambda x: parse_scalar(x, scalar_mode) if not isinstance(x, MPoly) else x
+    def make(m, r, u, p, q, T, u_exp=None, allow_zero_u=False) -> "ModelParams":
         return ModelParams(
             m=m, r=r,
-            u=tuple(conv(x) for x in u),
-            p=tuple(conv(x) for x in p),
-            q=tuple(conv(x) for x in q),
+            u=tuple(parse_scalar(x) for x in u),
+            p=tuple(parse_scalar(x) for x in p),
+            q=tuple(parse_scalar(x) for x in q),
             T=T,
-            u_exp=(conv(u_exp) if u_exp is not None and not isinstance(u_exp, MPoly)
-                   else u_exp),
-            scalar_mode=scalar_mode,
+            u_exp=parse_scalar(u_exp),
             allow_zero_u=allow_zero_u,
         )
 
@@ -108,19 +106,11 @@ class ModelParams:
     def has_exp(self) -> bool:
         return self.u_exp is not None
 
-    def u_numerator(self):
-        return self.u[: self.m]
-
-    def u_denominator(self):
-        return self.u[self.m:]
-
 
 @dataclass(frozen=True)
 class EllBounds:
-    """Caps for the enumeration: monotone-run lengths per denominator color,
-    the free-run length of the exponential extension, and (optionally) the
-    cycle deficiencies of the numerator permutations."""
+    """Caps for the enumeration: monotone-run lengths per denominator color
+    and the free-run length of the exponential extension."""
 
     run_max: int = 0
     exp_run_max: int | None = None
-    deficiency_max: int | None = None

@@ -145,8 +145,9 @@ def content_weight(lam, params: ModelParams, u_symbolic=False,
 
     With symbolic u the denominator parameters are expanded as truncated
     polynomials, total degree `ell_cap` per parameter; the exponential weight
-    expands to degree `v_cap` in the variable "v".  Numeric mode substitutes
-    values directly (denominator factors must not vanish at any box content).
+    expands to degree `v_cap` in the variable "v".  Otherwise the configured
+    values are substituted (denominator factors must not vanish at any box
+    content; an exact u_exp gives the complex value exp(u_exp * contents)).
     """
     cs = contents(lam)
     w = MPoly.const(1) if u_symbolic else 1
@@ -173,8 +174,7 @@ def content_weight(lam, params: ModelParams, u_symbolic=False,
                 if is_zero(den):
                     raise ZeroDivisionError(
                         f"weight denominator vanishes at content {c}")
-                w = w * (Fraction(1, 1) / den if isinstance(den, (int, Fraction))
-                         else 1.0 / den)
+                w = w * (Fraction(1, 1) / den)
     if params.has_exp:
         csum = sum(cs)
         if u_symbolic or isinstance(params.u_exp, MPoly):
@@ -645,7 +645,6 @@ def enumerate_factorisations(d: int, params: ModelParams,
 
     all_perms = np.arange(tb.n, dtype=np.int32)
     defic = d - tb.ncycles
-    dmax = bounds.deficiency_max
 
     # axes in word order: sigma_{-1}, [exp run], sigma_0..sigma_{m-1}, runs
     axes = [("mu", None)]
@@ -668,16 +667,7 @@ def enumerate_factorisations(d: int, params: ModelParams,
         if kind == "mu":
             raise RingUsageError("mu axis cannot be last")
         if kind == "sigma":
-            if dmax is not None:
-                mask = defic <= dmax
-                pis = all_perms[mask]
-                parts = tb.cpart[mask]
-                keyvals = defic[mask]
-            else:
-                pis = all_perms
-                parts = tb.cpart
-                keyvals = defic
-            weights = None
+            pis, parts, keyvals, weights = all_perms, tb.cpart, defic, None
             nk = d + 1
         else:
             # concatenate the per-length sparse states
@@ -719,11 +709,8 @@ def enumerate_factorisations(d: int, params: ModelParams,
                     wmult, prefix + [int(tb.type_idx[pi])])
         elif kind == "sigma":
             for pi in range(tb.n):
-                df = int(defic[pi])
-                if dmax is not None and df > dmax:
-                    continue
                 rec(ai + 1, tb.mul[W, pi], int(tb.join[PJ, tb.cpart[pi]]),
-                    wmult, prefix + [df])
+                    wmult, prefix + [int(defic[pi])])
         else:
             for (pis, ps, cnts, ln) in data:
                 for k in range(len(pis)):
@@ -790,7 +777,7 @@ def tau_schur(params: ModelParams, d_max: int, u_symbolic=False,
 
 
 def _schur_value(lam, weights):
-    """Schur polynomial in power sums with numeric power-sum values; weights
+    """Schur polynomial in power sums with exact power-sum values; weights
     beyond the list are zero."""
     d = sum(lam)
     total = 0
@@ -805,10 +792,7 @@ def _schur_value(lam, weights):
         chi = character_value(lam, mu)
         if chi == 0:
             continue
-        if isinstance(pm, (int, Fraction)) or isinstance(pm, MPoly):
-            total = total + Fraction(chi, z_lambda(mu)) * pm
-        else:
-            total = total + chi / z_lambda(mu) * pm
+        total = total + Fraction(chi, z_lambda(mu)) * pm
     return total
 
 
@@ -901,7 +885,7 @@ def tau_from_table(table: HurwitzTable, params: ModelParams, d_max: int,
 # genus-graded character route: correlators without enumeration
 #
 # Substituting p -> p/N, q -> q/N, u -> u N makes the connected genus-g part
-# of the logarithm the coefficient of N^(2g-2).  With numeric weights the
+# of the logarithm the coefficient of N^(2g-2).  With rational weights the
 # coefficients are short Laurent polynomials in N, so the logarithm and its
 # face-weight derivatives are cheap at sizes far beyond what exhaustive
 # enumeration can reach.  Grading-exponent window: any single factor that can
@@ -1097,9 +1081,9 @@ def wgn_via_characters(params: ModelParams, d_max: int, g: int,
     if n not in (1, 2):
         raise RingUsageError("character route implemented for n in {1, 2}")
     if params.has_exp and not isinstance(params.u_exp, (int, Fraction)):
-        raise RingUsageError("character route needs a numeric u_exp")
+        raise RingUsageError("character route needs a rational u_exp")
     if any(isinstance(x, MPoly) for x in params.u + params.p + params.q):
-        raise RingUsageError("character route needs numeric weights")
+        raise RingUsageError("character route needs rational weights")
     degrees = list(range(1, d_max + 1))
     data = _graded_series_log_derivs(
         params, d_max, [degrees] * n, g)

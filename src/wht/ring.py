@@ -1,8 +1,9 @@
 """Coefficient arithmetic: truncated power series in t, Laurent polynomials in z,
 and sparse multivariate Laurent polynomials in marking variables.
 
-Two scalar kinds are supported and fixed per computation: exact rationals
-(``fractions.Fraction``, arithmetic never rounds) and double-precision complex.
+Scalars are exact rationals (``int`` or ``fractions.Fraction``; arithmetic
+never rounds), or MPoly over them for the deformation variables.  Complex
+numbers enter only as evaluation points (``MPoly.eval``, ``TSeries.eval_t``).
 All containers are immutable after construction and every operation is a pure
 function, so independent computations can safely run in parallel.
 """
@@ -48,7 +49,7 @@ def _inv_number(c):
         return Fraction(1, c)
     if isinstance(c, Fraction):
         return 1 / c
-    return 1.0 / c  # complex / float
+    return 1.0 / c  # complex evaluation points in MPoly.eval
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +72,7 @@ def _mono_mul(m1, m2):
 
 
 class MPoly:
-    """Sparse Laurent polynomial in named variables over exact or complex scalars."""
+    """Sparse Laurent polynomial in named variables over exact rationals."""
 
     __slots__ = ("terms",)
 
@@ -200,9 +201,6 @@ class MPoly:
                 out[tuple(rest)] = c
         return MPoly(out)
 
-    def exponents_of(self, name: str):
-        return sorted({dict(m).get(name, 0) for m in self.terms})
-
     def diff(self, name: str) -> "MPoly":
         out: dict = {}
         for m, c in self.terms.items():
@@ -229,24 +227,6 @@ class MPoly:
             out[m2] = c
         return MPoly(out)
 
-    def subs_scalar(self, name: str, value) -> "MPoly":
-        """Substitute a scalar for one variable (negative exponents allowed)."""
-        out = MPoly()
-        for m, c in self.terms.items():
-            e0 = 0
-            rest = []
-            for n, e in m:
-                if n == name:
-                    e0 = e
-                else:
-                    rest.append((n, e))
-            if e0 >= 0:
-                factor = value ** e0
-            else:
-                factor = _inv_number(value) ** (-e0)
-            out = out + MPoly({tuple(rest): c * factor})
-        return out
-
     def eval(self, values: dict):
         """Full numeric evaluation; every variable must be given a value."""
         total = 0
@@ -257,13 +237,6 @@ class MPoly:
                 v = v * (x ** e if e >= 0 else _inv_number(x) ** (-e))
             total = total + v
         return total
-
-    def variables(self):
-        names = set()
-        for m in self.terms:
-            for n, _ in m:
-                names.add(n)
-        return sorted(names)
 
     def map_coeffs(self, f) -> "MPoly":
         out = {}
@@ -477,9 +450,7 @@ class TSeries:
             power = power * self
             if power.is_zero():
                 break
-            fk = factorial(k)
-            inv = Fraction(1, fk) if _exactish(power) else 1.0 / fk
-            acc = acc + power.scale(inv)
+            acc = acc + power.scale(Fraction(1, factorial(k)))
         return acc
 
     def tshift(self, s: int) -> "TSeries":
@@ -507,17 +478,6 @@ class TSeries:
 
     def __repr__(self):
         return "TSeries[" + ", ".join(repr(c) for c in self.coeffs) + "]"
-
-
-def _exactish(ts: TSeries) -> bool:
-    for c in ts.coeffs:
-        if isinstance(c, (complex, float)):
-            return False
-        if isinstance(c, MPoly):
-            for v in c.terms.values():
-                if isinstance(v, (complex, float)):
-                    return False
-    return True
 
 
 def series_compose(f: TSeries, aux: str, g: TSeries) -> TSeries:
@@ -734,8 +694,7 @@ class ZLaurent:
             power = power.mul(self, lo, hi)
             if power.is_zero():
                 break
-            fk = factorial(k)
-            acc = acc + power.scale(Fraction(1, fk) if _zl_exactish(power) else 1.0 / fk)
+            acc = acc + power.scale(Fraction(1, factorial(k)))
         else:
             raise RingDomainError("ZLaurent exp did not terminate on window")
         return acc
@@ -789,6 +748,3 @@ class ZLaurent:
         bits = [f"z^{e}: {ts!r}" for e, ts in sorted(self.coeffs.items())]
         return "ZLaurent{" + "; ".join(bits) + "}"
 
-
-def _zl_exactish(zl: ZLaurent) -> bool:
-    return all(_exactish(ts) for ts in zl.coeffs.values())

@@ -11,7 +11,7 @@ the current order of already-updated blocks (for B, theta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +47,6 @@ class SpectralData:
     B: dict
     eta: ZLaurent | None
     theta: ZLaurent | None
-    health: dict = field(default_factory=dict)
     _Z: TSeries | None = None
     _H: ZLaurent | None = None
 
@@ -163,34 +162,13 @@ def _solve_colors(colors, params: ModelParams) -> SpectralData:
         A, B, eta, theta = _system_rhs(colors, params, A, B, eta, theta, exp_weight)
     # stationarity check: one more sweep must reproduce the solution exactly
     A2, B2, eta2, theta2 = _system_rhs(colors, params, A, B, eta, theta, exp_weight)
-    health = {"stationary": True}
     for c in colors:
-        if params.scalar_mode == "exact":
-            if not (A2[c.label] == A[c.label] and B2[c.label] == B[c.label]):
-                raise RingDomainError("system sweep did not become stationary")
-        else:
-            health["residual"] = max(
-                health.get("residual", 0.0),
-                _zl_dev(A2[c.label], A[c.label]), _zl_dev(B2[c.label], B[c.label]))
-    if params.has_exp and params.scalar_mode == "exact":
-        if not (eta2 == eta and theta2 == theta):
-            raise RingDomainError("exp system sweep did not become stationary")
+        if not (A2[c.label] == A[c.label] and B2[c.label] == B[c.label]):
+            raise RingDomainError("system sweep did not become stationary")
+    if params.has_exp and not (eta2 == eta and theta2 == theta):
+        raise RingDomainError("exp system sweep did not become stationary")
     return SpectralData(params=params, colors=tuple(colors), A=A, B=B,
-                        eta=eta, theta=theta, health=health)
-
-
-def _zl_dev(a: ZLaurent, b: ZLaurent) -> float:
-    d = a - b
-    worst = 0.0
-    for ts in d.coeffs.values():
-        for c in ts.coeffs:
-            if isinstance(c, MPoly):
-                vals = c.terms.values()
-            else:
-                vals = [c]
-            for v in vals:
-                worst = max(worst, abs(complex(v)))
-    return worst
+                        eta=eta, theta=theta)
 
 
 def solve_system(params: ModelParams) -> SpectralData:
@@ -200,8 +178,7 @@ def solve_system(params: ModelParams) -> SpectralData:
 
 def system_residuals(sd: SpectralData) -> dict:
     """Substitute the solved blocks back into their defining equations and
-    return the per-color residual blocks (all identically zero in exact
-    mode)."""
+    return the per-color residual blocks (all identically zero)."""
     A2, B2, eta2, theta2 = _system_rhs(sd.colors, sd.params, sd.A, sd.B,
                                        sd.eta, sd.theta, sd.params.u_exp)
     out = {}
@@ -220,12 +197,8 @@ def solve_bulk_approximation(params: ModelParams, N: int) -> SpectralData:
     like 1/N, which the tests quantify."""
     if not params.has_exp:
         raise RingUsageError("bulk approximation needs an exponential weight")
-    base = ModelParams(
-        m=params.m, r=params.r, u=params.u, p=params.p, q=params.q,
-        T=params.T, u_exp=None, scalar_mode=params.scalar_mode,
-        allow_zero_u=params.allow_zero_u)
-    ub = (Fraction(params.u_exp) / N if isinstance(params.u_exp, (int, Fraction))
-          else params.u_exp / N)
+    base = replace(params, u_exp=None)
+    ub = params.u_exp * Fraction(1, N)
     cols = list(_colors_from_params(base)) + [ColorSpec("bulk", ub, +1, mult=N)]
     return _solve_colors(tuple(cols), base)
 
@@ -244,9 +217,8 @@ def compute_Z(sd: SpectralData) -> TSeries:
     Z = xb
     for _ in range(T + 1):
         Z = _z_rhs(sd, Z, xb)
-    if sd.params.scalar_mode == "exact":
-        if not _ts_eq(Z, _z_rhs(sd, Z, xb)):
-            raise RingDomainError("Z fixed point did not stabilise")
+    if not _ts_eq(Z, _z_rhs(sd, Z, xb)):
+        raise RingDomainError("Z fixed point did not stabilise")
     sd._Z = Z
     return Z
 
@@ -299,19 +271,14 @@ def assemble_curve(sd: SpectralData):
         H = (sd.A[ref.label].mul(sd.B[ref.label])
              - ZLaurent.const(sd.T, 1)).scale(scalar_invert(ref.u))
         for c in sd.colors:
+            # polynomial weights are checked in exact tests
             if c.label == ref.label or is_zero(c.u) or isinstance(c.u, MPoly):
-                if c.label != ref.label and isinstance(c.u, MPoly):
-                    pass  # polynomial weights are checked in exact tests
                 continue
             Hc = (sd.A[c.label].mul(sd.B[c.label])
                   - ZLaurent.const(sd.T, 1)).scale(scalar_invert(c.u))
-            if sd.params.scalar_mode == "exact":
-                if not (Hc == H):
-                    raise RingDomainError(
-                        f"H mismatch between colors {ref.label} and {c.label}")
-            else:
-                sd.health["H_dev"] = max(sd.health.get("H_dev", 0.0),
-                                         _zl_dev(Hc, H))
+            if not (Hc == H):
+                raise RingDomainError(
+                    f"H mismatch between colors {ref.label} and {c.label}")
         sd._H = H
     Xnum = ZLaurent.const(sd.T, 1)
     Xden = ZLaurent.const(sd.T, 1)
@@ -435,7 +402,11 @@ def _poly_trim(a):
     return a
 
 
-def initial_ramification(params: ModelParams, gap_tol: float = 1e-8):
+# relative distance below which ramification points count as zero or colliding
+_GAP_TOL = 1e-8
+
+
+def initial_ramification(params: ModelParams):
     """Complex zeros of the leading-order ramification equation, found from the
     cleared-denominator polynomial via companion-matrix roots plus one Newton
     polish.  Degenerate configurations raise AssumptionViolation naming the
@@ -484,15 +455,15 @@ def initial_ramification(params: ModelParams, gap_tol: float = 1e-8):
     polished.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     scale = max(abs(z) for z in polished) if polished else 1.0
     for z in polished:
-        if abs(z) <= gap_tol * scale:
+        if abs(z) <= _GAP_TOL * scale:
             raise AssumptionViolation("zero-root", f"ramification point near zero: {z}")
         w = sum(k * complex(params.q[k - 1]) * z ** k for k in range(1, params.D2 + 1))
-        if abs(w) <= gap_tol * max(1.0, abs(z) ** params.D2):
+        if abs(w) <= _GAP_TOL * max(1.0, abs(z) ** params.D2):
             raise AssumptionViolation(
                 "derivative-weight", f"sum k q_k a^k vanishes at {z}")
     for i in range(len(polished)):
         for j in range(i + 1, len(polished)):
-            if abs(polished[i] - polished[j]) <= gap_tol * scale:
+            if abs(polished[i] - polished[j]) <= _GAP_TOL * scale:
                 raise AssumptionViolation(
                     "distinct-roots",
                     f"ramification points {i} and {j} collide")
@@ -648,11 +619,7 @@ def insertion_identity_sides(params: ModelParams):
     diagonal shift.  Returns (lhs, rhs) as series with Laurent coefficients in
     xb (exact equality is the test)."""
     al = MPoly.var("al")
-    scaled = ModelParams(
-        m=params.m, r=params.r, u=params.u,
-        p=tuple(al * pk for pk in params.p), q=params.q, T=params.T,
-        u_exp=params.u_exp, scalar_mode=params.scalar_mode,
-        allow_zero_u=params.allow_zero_u)
+    scaled = replace(params, p=tuple(al * pk for pk in params.p))
     sd = solve_system(scaled)
     Z = compute_Z(sd)
     _, _, H = assemble_curve(sd)
@@ -665,8 +632,7 @@ def insertion_identity_sides(params: ModelParams):
         pk = params.p[k - 1]
         coeff = cyl.map_coeffs(lambda c, k=k: c.coefficient_of("xb2", k + 1)
                                if isinstance(c, MPoly) else MPoly())
-        rhs = rhs + coeff.scale(pk * Fraction(1, k)
-                                if isinstance(pk, (int, Fraction)) else pk / k)
+        rhs = rhs + coeff.scale(pk * Fraction(1, k))
         rhs = rhs + TSeries.const(sd.T, MPoly.var("xb", 1 - k, pk))
     rhs = rhs.map_coeffs(lambda c: c.rename({"xb1": "xb"})
                          if isinstance(c, MPoly) else c)
@@ -727,16 +693,9 @@ def critical_t(m: int, r: int):
 # export
 
 
-def _scalar_json(c):
-    if isinstance(c, (int, Fraction)):
-        return str(c)
-    z = complex(c)
-    return [z.real, z.imag]
-
-
 def _ts_json(ts: TSeries):
-    return [_scalar_json(c) if not isinstance(c, MPoly) else repr(c)
-            for c in ts.coeffs]
+    # rationals print as "2/3"; MPoly coefficients print through their repr
+    return [str(c) for c in ts.coeffs]
 
 
 def _zl_json(zl: ZLaurent):
@@ -748,7 +707,7 @@ def spectral_export(sd: SpectralData, branchpoints: BranchpointSet | None = None
     out = {
         "T": sd.T,
         "colors": [{"label": c.label, "side": c.side, "mult": c.mult,
-                    "u": _scalar_json(c.u) if not isinstance(c.u, MPoly) else repr(c.u)}
+                    "u": str(c.u)}
                    for c in sd.colors],
         "A": {c.label: _zl_json(sd.A[c.label]) for c in sd.colors},
         "B": {c.label: _zl_json(sd.B[c.label]) for c in sd.colors},

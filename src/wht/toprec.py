@@ -33,6 +33,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # curve instantiation
 
+# largest |t| at which the truncated blocks are instantiated (the run
+# configuration rejects larger t_value at load time)
+T_CAP = 0.5
+
 
 @dataclass
 class NumericCurve:
@@ -78,7 +82,9 @@ class NumericCurve:
             out = s_mul(out, s_exp(e)) * np.exp(c0)
         return out
 
-    def y_series(self, b: complex, L: int):
+    def xy_series(self, b: complex, L: int):
+        """Taylor coefficients of X(b + w) and Y(b + w)."""
+        xs = self.x_series(b, L)
         h = np.zeros(L, dtype=complex)
         neg = [(-e, c) for e, c in self.H.items() if e < 0]
         pos = [(e, c) for e, c in self.H.items() if e >= 0]
@@ -91,7 +97,7 @@ class NumericCurve:
                 for _ in range(e - 1):
                     pw = s_mul(pw, zinv)
                 h = h + c * pw
-        return s_mul(h, s_inv(self.x_series(b, L)))
+        return xs, s_mul(h, s_inv(xs))
 
 
 def _branchpoint_poly(Np, Dp, eta, u_exp):
@@ -113,7 +119,7 @@ def _branchpoint_poly(Np, Dp, eta, u_exp):
 
 
 def instantiate_curve(sd: SpectralData, t_value: complex, tol: float = 1e-9,
-                      max_depth: int = 64, t_cap: float = 0.5) -> NumericCurve:
+                      max_depth: int = 64, t_cap: float = T_CAP) -> NumericCurve:
     """Evaluate the solved blocks at a complex t and locate the branchpoints.
 
     Raises AssumptionViolation when the configuration breaks the simple-
@@ -232,7 +238,7 @@ def _validate_branchpoints(curve: NumericCurve):
     for i, b in enumerate(bps):
         if abs(b) < 1e-10 * scale:
             raise AssumptionViolation("zero-root", f"ramification point at {b}")
-        xs = curve.x_series(b, 4)
+        xs, ys = curve.xy_series(b, 4)
         # dimensionless local ratios; the raw derivatives scale like powers
         # of 1/b and would make absolute thresholds meaningless
         x0 = max(abs(xs[0]), 1e-300)
@@ -242,7 +248,6 @@ def _validate_branchpoints(curve: NumericCurve):
         if abs(xs[2] * b * b) < 1e-9 * x0:
             raise AssumptionViolation(
                 "not-simple", f"second derivative vanishes at {b}")
-        ys = curve.y_series(b, 3)
         if abs(ys[1] * b) < 1e-10 * max(abs(ys[0]), 1e-300):
             raise AssumptionViolation("dY-zero", f"dY vanishes at {b}")
     for i in range(len(bps)):
@@ -281,8 +286,7 @@ def local_data(curve: NumericCurve, i: int, depth: int) -> LocalData:
         return curve._local[key]
     L = depth
     b = curve.branchpoints[i]
-    xs = curve.x_series(b, L + 2)
-    ys = curve.y_series(b, L + 2)
+    xs, ys = curve.xy_series(b, L + 2)
     phi = xs.copy()
     phi[0] = 0.0
     phi[1] = 0.0                      # dX(b) = 0 within tolerance

@@ -229,6 +229,12 @@ def tr_acceptance_model() -> ModelParams:
                             q=[F(1, 5), F(1, 8)], T=6)
 
 
+def tr_oracle_depth(params: ModelParams, d_max: int) -> int:
+    """Largest enumeration size the recursion is checked against: sizes past
+    6 (past 4 with runs or an exponential weight) take minutes to enumerate."""
+    return min(d_max, 6 if params.r == 0 and not params.has_exp else 4)
+
+
 def tr_sample_points(n, count=5, seed=3):
     rng = np.random.default_rng(seed)
     return [tuple((2 + 6 * rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -239,11 +245,11 @@ def suite_tr_vs_oracle(cfg=None) -> CheckResult:
     """Recursion output against enumerated correlators.  Uses the configured
     model when a config is given (so degenerate configurations surface as
     SKIP); the canonical desk-scale model otherwise."""
-    if cfg is not None and cfg.model.scalar_mode == "exact":
+    if cfg is not None:
         params = cfg.model
         t_value = cfg.toprec_t
         tol = cfg.tol
-        d_max = min(cfg.d_max, 6) if params.r == 0 and not params.has_exp else min(cfg.d_max, 4)
+        d_max = tr_oracle_depth(params, cfg.d_max)
     else:
         params = tr_acceptance_model()
         t_value = 1e-3

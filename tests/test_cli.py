@@ -7,7 +7,7 @@ import pytest
 from wht import cli
 from wht.config import ConfigError, dump_config, load_config, parse_config
 from wht.model import ModelParams
-from wht.verify import suite_disk
+from wht.verify import suite_disk, tr_oracle_depth
 
 
 BASE_CFG = {
@@ -40,6 +40,39 @@ def test_config_rejects_unknown_task(tmp_path):
     bad["tasks"] = ["no-such-suite"]
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, bad))
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("model", "u", [[0.5, 0.0]], "model.u"),
+    ("model", "p", [0.25, "1/10"], "model.p"),
+    ("model", "scalar_mode", "numeric", "model.scalar_mode"),
+    ("toprec", "t_value", [0.9, 0.0], "toprec.t_value"),
+])
+def test_inexact_or_out_of_range_config_exits_2(tmp_path, capsys, section,
+                                                 key, value, named):
+    data = json.loads(json.dumps(BASE_CFG))
+    data[section][key] = value
+    data["output"]["dir"] = str(tmp_path / "out")
+    path = write_cfg(tmp_path, data)
+    assert cli.main(["tr", "--config", path]) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+def test_config_accepts_echoed_exact_mode(tmp_path):
+    data = json.loads(json.dumps(BASE_CFG))
+    data["model"]["scalar_mode"] = "exact"
+    data["model"]["q"] = [1, 2.0]
+    cfg = load_config(write_cfg(tmp_path, data))
+    assert cfg.model.q == (F(1), F(2))
+
+
+def test_tr_oracle_depth_matches_verify_rule():
+    p11 = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
+                           q=[F(2, 7)], T=6)
+    p10 = ModelParams.make(1, 0, u=[F(1, 2)], p=[F(1, 3)], q=[F(2, 7)], T=6)
+    assert tr_oracle_depth(p11, 6) == 4
+    assert tr_oracle_depth(p10, 8) == 6
+    assert tr_oracle_depth(p10, 3) == 3
 
 
 def test_config_exit_code(tmp_path):

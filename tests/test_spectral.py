@@ -65,23 +65,16 @@ def test_defining_equation_residuals_vanish():
         assert all(blk.is_zero() for blk in res.values())
 
 
-def test_residual_is_stationary_numeric_health():
-    pn = ModelParams.make(1, 1, u=[0.5, -1 / 3], p=[1 / 3], q=[2 / 7, 0.2], T=5,
-                          scalar_mode="numeric")
-    sn = solve_system(pn)
-    assert sn.health["residual"] <= 1e-12
-
-
-def test_numeric_matches_exact():
-    pe = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
-                          q=[F(2, 7), F(1, 5)], T=5)
-    pn = ModelParams.make(1, 1, u=[0.5, -1 / 3], p=[1 / 3], q=[2 / 7, 0.2], T=5,
-                          scalar_mode="numeric")
-    se, sn = solve_system(pe), solve_system(pn)
-    for lbl in ("c0", "c1"):
-        for e, ts in se.A[lbl].coeffs.items():
-            for k, c in enumerate(ts.coeffs):
-                assert abs(complex(sn.A[lbl].get(e).coeffs[k]) - complex(c)) < 1e-12
+@pytest.mark.parametrize("field, kwargs", [
+    ("u", {"u": [0.5, F(-1, 3)]}),
+    ("p", {"p": [1 / 3]}),
+    ("q", {"q": [F(2, 7), 0.2j]}),
+    ("u_exp", {"u_exp": 0.25}),
+])
+def test_model_rejects_inexact_weights(field, kwargs):
+    base = dict(m=1, r=1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)], q=[F(2, 7)], T=3)
+    with pytest.raises(ValueError, match=f"^{field} entries"):
+        ModelParams(**{**base, **kwargs})
 
 
 # --- Z and the curve ------------------------------------------------------------

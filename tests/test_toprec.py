@@ -201,8 +201,7 @@ def test_universal_three_point_coefficient(curve10, omega10):
     # omega_{0,3} for a curve with simple branchpoints has the closed form
     # sum_i -1/(Y'(b_i) X''(b_i)) prod_j (z_j - b_i)^(-2)
     for i, b in enumerate(curve10.branchpoints):
-        xs = curve10.x_series(b, 4)
-        ys = curve10.y_series(b, 3)
+        xs, ys = curve10.xy_series(b, 4)
         closed = -1.0 / (ys[1] * 2 * xs[2])
         got = omega10.tensors[(0, 3)][((i, 2), (i, 2), (i, 2))]
         assert abs(got - closed) / abs(closed) < 1e-10
