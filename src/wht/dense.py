@@ -1,10 +1,9 @@
 """Dense complex power series and polynomials in one local variable.
 
 Arrays are complex, index = power of the variable, and a series of length L
-is truncated after the power L - 1.  A Laurent value is a pair (offset,
-array): the array's first entry is the coefficient of w^offset.  The
-ramification Newton iteration in `spectral` and the numeric recursion in
-`toprec` both build on these helpers.
+is truncated after the power L - 1.  The ramification Newton iteration in
+`spectral` and the numeric recursion in `toprec` both build on these
+helpers.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .ring import RingUsageError
 __all__ = [
     "horner", "poly_shift", "poly_sub", "wseries",
     "s_mul", "s_inv", "s_compose", "s_revert", "s_sqrt", "s_exp", "s_diff",
-    "l_mul", "l_add", "l_coeff_product", "l_low",
 ]
 
 
@@ -142,47 +140,3 @@ def s_diff(a):
     """Derivative, padded with a zero to keep the length."""
     return np.array([k * a[k] for k in range(1, len(a))] + [a[0] * 0],
                     dtype=complex)
-
-
-def l_mul(a, b, L):
-    oa, va = a
-    ob, vb = b
-    return (oa + ob, np.convolve(va, vb)[:L])
-
-
-def l_add(a, b):
-    oa, va = a
-    ob, vb = b
-    off = min(oa, ob)
-    n = max(oa + len(va), ob + len(vb)) - off
-    out = np.zeros(n, dtype=complex)
-    out[oa - off: oa - off + len(va)] += va
-    out[ob - off: ob - off + len(vb)] += vb
-    return (off, out)
-
-
-def l_coeff_product(a, b, k):
-    """Coefficient of exponent k in the product a*b, together with the sum of
-    absolute values of its additive contributions (conditioning estimate)."""
-    oa, va = a
-    ob, vb = b
-    val = 0j
-    mag = 0.0
-    for j, x in enumerate(va):
-        if x == 0:
-            continue
-        idx = k - (oa + j) - ob
-        if 0 <= idx < len(vb):
-            term = x * vb[idx]
-            val += term
-            mag += float(abs(term))
-    return val, mag
-
-
-def l_low(a):
-    """Lowest exponent with a nonzero coefficient, or None."""
-    off, v = a
-    for i, x in enumerate(v):
-        if x != 0:
-            return off + i
-    return None

@@ -10,14 +10,15 @@ differential is a finite combination of pure poles at the branchpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
 
 from .dense import (
-    horner, l_add, l_coeff_product, l_low, l_mul, poly_shift, poly_sub,
-    s_compose, s_diff, s_exp, s_inv, s_mul, s_revert, s_sqrt, wseries,
+    horner, poly_shift, poly_sub, s_compose, s_diff, s_exp, s_inv, s_mul,
+    s_revert, s_sqrt, wseries,
 )
 from .model import AssumptionViolation, ModelParams
 from .ring import MPoly, RingUsageError, TSeries, is_zero
@@ -348,24 +349,22 @@ class OmegaSet:
         self.condition: dict = {}
 
     def evaluate(self, g: int, n: int, zs, with_condition: bool = False):
-        """Value of the correlator at a point; optionally also the ratio of
-        absolute term sum to the value (pole sums cancel heavily at small z,
-        and the value is meaningless once ratio * machine epsilon exceeds
-        the tolerance)."""
+        """Value of the correlator at a point, or at arrays of points of one
+        shape; optionally also the ratio of absolute term sum to the value
+        (pole sums cancel heavily at small z, and the value is meaningless
+        once ratio * machine epsilon exceeds the tolerance)."""
         if (g, n) == (0, 2):
             val = 1.0 / (zs[0] - zs[1]) ** 2
             return (val, 1.0) if with_condition else val
-        total = 0j
-        mag = 0.0
-        bps = self.curve.branchpoints
-        for midx, coeff in self.tensors[(g, n)].items():
-            term = coeff
-            for (i, k), z in zip(midx, zs):
-                term = term / (z - bps[i]) ** k
-            total += term
-            mag += abs(term)
+        poles, coeff = _coo(self.tensors[(g, n)], n)
+        bps = np.asarray(self.curve.branchpoints)
+        terms = coeff
+        for (j, k), z in zip(poles.transpose(1, 2, 0), zs):
+            terms = terms / (np.asarray(z)[..., None] - bps[j]) ** k
+        total = terms.sum(axis=-1)
         if with_condition:
-            return total, float(mag) / max(float(abs(total)), 1e-300)
+            mag = np.abs(terms).sum(axis=-1)
+            return total, mag / np.maximum(np.abs(total), 1e-300)
         return total
 
     def max_pole_order(self, g: int, n: int) -> int:
@@ -384,6 +383,13 @@ class OmegaSet:
                  "coeff": [val.real, val.imag]}
                 for midx, val in sorted(tensor.items())]
         return out
+
+
+def _coo(tensor: dict, n: int):
+    """A tensor as arrays: poles[e, slot] = (branchpoint, order) of entry e,
+    and the entries' coefficients."""
+    poles = np.array(list(tensor), dtype=np.int64).reshape(-1, n, 2)
+    return poles, np.array(list(tensor.values()), dtype=complex)
 
 
 def _dependency_closure(targets):
@@ -418,34 +424,38 @@ def tr_compute(curve: NumericCurve, g_max: int, n_max: int,
     chi_max = 2 * g_max - 2 + n_max
     if chi_max < 1:
         raise RingUsageError("need 2 g_max - 2 + n_max >= 1")
-    needed = None
-    if targets is not None:
-        needed = _dependency_closure(targets)
-        chi_max = max(2 * g - 2 + n for g, n in needed)
+    if targets is None:
+        targets = [(g, chi + 2 - 2 * g) for chi in range(1, chi_max + 1)
+                   for g in range((chi + 1) // 2 + 1) if chi + 2 - 2 * g >= 1]
+    steps = sorted(_dependency_closure(targets),
+                   key=lambda gn: (2 * gn[0] + gn[1], gn[0]))
     omega = OmegaSet(curve)
     nb = len(curve.branchpoints)
     depth = 6 * g_max - 2 + 2 * (n_max + 2) + depth_margin
     locs = [local_data(curve, i, depth) for i in range(nb)]
-    for chi in range(1, chi_max + 1):
-        for g in range((chi + 1) // 2 + 1):
-            n = chi + 2 - 2 * g
-            if n < 1:
-                continue
-            if needed is not None and (g, n) not in needed:
-                continue
-            tensor, condition = _tr_step(omega, locs, g, n, depth)
-            bound = 6 * g - 4 + 2 * n
-            raw_max = max((max(k for _, k in m) for m in tensor), default=0)
-            raw_min = min((min(k for _, k in m) for m in tensor), default=2)
-            if raw_max > bound or raw_min < 2:
-                raise RingUsageError(
-                    f"pole order outside [2, {bound}] at (g,n)=({g},{n})")
-            sym, asym = _symmetrize(tensor, n)
-            omega.tensors[(g, n)] = sym
-            omega.asymmetry[(g, n)] = float(asym)
-            # residue-extraction amplification: the output coefficients keep
-            # about 16 - log10(condition) correct digits
-            omega.condition[(g, n)] = float(condition)
+    ops = [_BranchOperators(loc, curve.branchpoints) for loc in locs]
+    lower: dict = {}
+    for g, n in steps:
+        parts = [op.residues(lower, g, n) for op in ops]
+        poles = np.concatenate([p[0] for p in parts])
+        vals = np.concatenate([p[1] for p in parts])
+        mags = np.concatenate([p[2] for p in parts])
+        # drop numerically-zero entries
+        size = np.abs(vals)
+        keep = size > 1e-13 * size.max(initial=0.0)
+        poles, vals, mags, size = poles[keep], vals[keep], mags[keep], size[keep]
+        bound = 6 * g - 4 + 2 * n
+        orders = poles[..., 1]
+        if orders.size and (orders.max() > bound or orders.min() < 2):
+            raise RingUsageError(
+                f"pole order outside [2, {bound}] at (g,n)=({g},{n})")
+        tensor, asym = _symmetrize(poles, vals)
+        omega.tensors[(g, n)] = tensor
+        omega.asymmetry[(g, n)] = asym
+        # residue-extraction amplification: the output coefficients keep
+        # about 16 - log10(condition) correct digits
+        omega.condition[(g, n)] = float(max(1.0, (mags / size).max(initial=1.0)))
+        lower[(g, n)] = _coo(tensor, n)
     if quadrature_check:
         omega.quadrature = {
             (g, n): residue_quadrature_check(omega, locs, g, n)
@@ -453,169 +463,230 @@ def tr_compute(curve: NumericCurve, g_max: int, n_max: int,
     return omega
 
 
-def _pole_series(loc: LocalData, bps, j, k, at_sigma: bool, L):
-    """1/(slot - b_j)^k expanded at slot = b_i + w (or b_i + s(w))."""
-    if j == loc.index:
-        if at_sigma:
-            # s = -w(1 + ...): factor out the leading power exactly
-            inv = s_inv(-loc.s[1:L])
-            pw = inv
-            for _ in range(k - 1):
-                pw = s_mul(pw, inv)
-            return (-k, (-1.0) ** k * pw)
-        arr = np.zeros(L, dtype=complex)
-        arr[0] = 1.0
-        return (-k, arr)
-    delta = loc.b - bps[j]
-    base = loc.s.copy() if at_sigma else wseries(L)
-    base[0] += delta
-    inv = s_inv(base)
-    pw = inv
-    for _ in range(k - 1):
-        pw = s_mul(pw, inv)
-    return (0, pw)
+class _BranchOperators:
+    """The operators of the recursion at one branchpoint b_i, in the local
+    coordinate z = b_i + w, for local data of depth L.  Laurent series are
+    arrays over the exponents -Q..Q, Q = L - 2 (column Q holds w^0); no step
+    reads past exponent Q.
 
+    u: the first bracket slot at z: rows j * Q + k - 1 hold the pole
+       1/(z - b_j)^k (k = 1..Q), rows nb * Q + m the omega_{0,2} expansion
+       row (m + 1) w^m, whose spectator is the pole (i, m + 2).
+    v: the same basis at sigma(z) = b_i + s(w), times s'(w).
+    w02: omega_{0,2}(z, sigma(z)) s'(w) = s'(w) / (w - s(w))^2.
+    kernel[k - 1, x + 1] = [w^x] (w^k - s(w)^k) / (2 kernel_den(w)), the
+       residue weight of the output pole (i, k + 1), for x = -1..Q-1.
+    """
 
-def _tr_step(omega: OmegaSet, locs, g, n, depth):
-    curve = omega.curve
-    bps = curve.branchpoints
-    L = depth
-    out: dict = {}
-    absout: dict = {}
-    for loc in locs:
-        E: dict = {}
-
-        def add_term(key, lau):
-            if key in E:
-                E[key] = l_add(E[key], lau)
-            else:
-                E[key] = lau
-
-        sp_l = (0, loc.sp)
-
-        # bracket part 1: the genus-lowering term
-        if g >= 1:
-            if (g - 1, n + 1) == (0, 2):
-                diff = wseries(L) - loc.s
-                val = s_mul(loc.sp, s_inv(s_mul(diff[1:], diff[1:])))
-                add_term((), (-2, val))
-            else:
-                sub = omega.tensors[(g - 1, n + 1)]
-                for midx, coeff in sub.items():
-                    f1 = _pole_series(loc, bps, midx[0][0], midx[0][1], False, L)
-                    f2 = _pole_series(loc, bps, midx[1][0], midx[1][1], True, L)
-                    lau = l_mul(l_mul(f1, f2, L), sp_l, L)
-                    lau = (lau[0], lau[1] * coeff)
-                    add_term(tuple(midx[2:]), lau)
-
-        # bracket part 2: stable splittings (the two one-point terms excluded)
-        slots = list(range(n - 1))
-        for h in range(g + 1):
-            hp = g - h
-            for csize in range(len(slots) + 1):
-                for C in combinations(slots, csize):
-                    Cp = [s for s in slots if s not in C]
-                    if h == 0 and len(C) == 0:
-                        continue
-                    if h == g and len(Cp) == 0:
-                        continue
-                    fac1 = _factor_terms(omega, loc, bps, h, C, False, L)
-                    fac2 = _factor_terms(omega, loc, bps, hp, Cp, True, L)
-                    if fac1 is None or fac2 is None:
-                        continue
-                    for key1, lau1 in fac1:
-                        for key2, lau2 in fac2:
-                            key = [None] * (n - 1)
-                            for s_, pr in zip(C, key1):
-                                key[s_] = pr
-                            for s_, pr in zip(Cp, key2):
-                                key[s_] = pr
-                            lau = l_mul(l_mul(lau1, lau2, L), sp_l, L)
-                            add_term(tuple(key), lau)
-
-        # kernel coefficients and residues
-        den = loc.kernel_den            # starts at w^2
-        den_l = (-2, s_inv(den[2:2 + L]))
-        spow = [np.array([1.0 + 0j])]
-        for _ in range(6 * g - 2 + 2 * n + 4):
-            spow.append(s_mul(np.pad(spow[-1], (0, max(0, L - len(spow[-1])))),
-                              loc.s)[:L])
-        for key, lau in E.items():
-            low = l_low(lau)
-            if low is None:
+    def __init__(self, loc: LocalData, bps):
+        L = loc.depth
+        Q = L - 2
+        nb = len(bps)
+        i, s = loc.index, loc.s
+        self.index, self.nb, self.Q = i, nb, Q
+        u = np.zeros((nb * Q + Q + 1, 2 * Q + 1), dtype=complex)
+        v = np.zeros_like(u)
+        for j, bj in enumerate(bps):
+            if j == i:
+                # s = -w (1 + ...): s^(-k) = (-w)^(-k) unit^k exactly
+                unit = s_inv(-s[1:L])
+                pw = unit
+                for k in range(1, Q + 1):
+                    u[j * Q + k - 1, Q - k] = 1.0
+                    v[j * Q + k - 1, Q - k:2 * Q - k + 1] = (-1.0) ** k * pw
+                    pw = s_mul(pw, unit)
                 continue
-            # (w^k - s^k)/den starts at w^(k-2); residue needs k - 2 + low <= -1
-            kmax = 1 - low
-            if kmax >= len(spow):
-                raise RingUsageError(
-                    f"pole depth overflow in recursion step (g,n)=({g},{n})")
-            for k in range(1, kmax + 1):
-                wk = np.zeros(L, dtype=complex)
-                if k < L:
-                    wk[k] = 1.0
-                num = wk - spow[k][:L]
-                ck = l_mul((0, 0.5 * num), den_l, L)
-                val, mag = l_coeff_product(ck, lau, -1)
-                midx = ((loc.index, k + 1),) + key
-                absout[midx] = absout.get(midx, 0.0) + mag
-                if abs(val) > 0:
-                    out[midx] = out.get(midx, 0j) + val
-    # drop numerically-zero entries
-    scale = max((abs(v) for v in out.values()), default=1.0)
-    kept = {k: v for k, v in out.items() if abs(v) > 1e-13 * scale}
-    condition = 1.0
-    for k, v in kept.items():
-        condition = max(condition, absout.get(k, 0.0) / max(abs(v), 1e-300))
-    return kept, condition
+            base_w = wseries(Q + 1)
+            base_w[0] += loc.b - bj
+            base_s = s[:Q + 1].copy()
+            base_s[0] += loc.b - bj
+            inv_w, inv_s = s_inv(base_w), s_inv(base_s)
+            pw_w, pw_s = inv_w, inv_s
+            for k in range(1, Q + 1):
+                u[j * Q + k - 1, Q:] = pw_w
+                v[j * Q + k - 1, Q:] = pw_s
+                pw_w, pw_s = s_mul(pw_w, inv_w), s_mul(pw_s, inv_s)
+        spow = np.zeros(Q + 1, dtype=complex)
+        spow[0] = 1.0
+        for m in range(Q + 1):
+            u[nb * Q + m, Q + m] = m + 1
+            v[nb * Q + m, Q:] = (m + 1) * spow
+            spow = s_mul(spow, s[:Q + 1])
+        # times s'(w): a lower-triangular Toeplitz matrix over the exponents
+        lag = np.subtract.outer(np.arange(2 * Q + 1), np.arange(2 * Q + 1))
+        sp = loc.sp[np.clip(lag, 0, Q)]
+        self.u = u
+        self.v = v @ np.where((lag >= 0) & (lag <= Q), sp, 0).T
+        diff = wseries(L) - s
+        w02 = s_mul(loc.sp[:L - 1], s_inv(s_mul(diff[1:], diff[1:])))
+        self.w02 = np.zeros(2 * Q + 1, dtype=complex)
+        self.w02[Q - 2:2 * Q - 1] = w02
+        den_inv = s_inv(loc.kernel_den[2:L])
+        self.kernel = np.zeros((Q + 1, Q + 1), dtype=complex)
+        spow = np.zeros(L, dtype=complex)
+        spow[0] = 1.0
+        for k in range(1, Q + 2):
+            spow = s_mul(spow, s)
+            num = -spow
+            num[k] += 1.0
+            self.kernel[k - 1] = 0.5 * np.convolve(num, den_inv)[1:Q + 2]
+
+    def residues(self, lower: dict, g: int, n: int):
+        """This branchpoint's share of the step (g, n): the pole multi-
+        indices (M, n, 2) of the nonzero entries, their values, and the sums
+        of the absolute values of the terms that make up each value."""
+        i, nb, Q = self.index, self.nb, self.Q
+        terms = _bracket_terms(g, n)
+        # the deepest pole order among first slots fixes the basis size; the
+        # lowest exponent any bracket term reaches fixes the window [-P, 0]
+        kst, P = 1, 0
+        for term in terms:
+            if term == "w02":
+                P = max(P, 2)
+                continue
+            if term[0] == "lower":
+                poles = lower[term[1]][0]
+                kst = max(kst, poles[:, :2, 1].max(initial=0))
+                own = np.where(poles[:, :2, 0] == i, poles[:, :2, 1], 0)
+                P = max(P, own.sum(axis=1).max(initial=0))
+                continue
+            depth = 0
+            for gn in term[1:3]:
+                if gn == (0, 2):
+                    continue
+                poles = lower[gn][0]
+                kst = max(kst, poles[:, 0, 1].max(initial=0))
+                depth += np.where(poles[:, 0, 0] == i, poles[:, 0, 1], 0).max(initial=0)
+            P = max(P, depth)
+        if P > 6 * g + 2 * n + 1 or P >= Q:
+            raise RingUsageError(
+                f"pole depth overflow in recursion step (g,n)=({g},{n})")
+        kst, W = int(kst), P + 1
+
+        def index(poles):
+            return poles[..., 0] * kst + poles[..., 1] - 1
+
+        sel = np.concatenate([j * Q + np.arange(kst) for j in range(nb)]
+                             + [nb * Q + np.arange(W)])
+        nv = len(sel)
+        # pair products pb[a * nv + b, e + P] = [w^e] u_a v_b, e = -P..0,
+        # and last the omega_{0,2}(z, sigma(z)) bracket
+        us = self.u[sel, Q - P:Q + P + 1]
+        vs = np.append(self.v[sel, Q - P:Q + P + 1], np.zeros((nv, 1)), axis=1)
+        lag = np.subtract.outer(np.arange(W), np.arange(2 * P + 1)) + P
+        toe = vs[:, np.where((lag >= 0) & (lag <= 2 * P), lag, 2 * P + 1)]
+        pb = (us @ toe.reshape(nv * W, 2 * P + 1).T).reshape(nv * nv, W)
+        pb = np.append(pb, self.w02[None, Q - P:Q + 1], axis=0).T.copy()
+
+        def rows(gn):
+            """(basis index, spectator poles, coefficient) of the rows of one
+            factor whose first slot is the integration point."""
+            if gn == (0, 2):
+                m = np.arange(W)
+                spect = np.stack([np.full(W, i), m + 2], axis=1)[:, None, :]
+                return nb * kst + m, spect, np.ones(W, dtype=complex)
+            poles, coeff = lower[gn]
+            return index(poles[:, 0]), poles[:, 1:], coeff
+
+        pairs, spects, coefs = [], [], []
+        for term in terms:
+            if term == "w02":
+                pairs.append(np.array([nv * nv]))
+                spects.append(np.zeros((1, 0, 2), dtype=np.int64))
+                coefs.append(np.ones(1, dtype=complex))
+            elif term[0] == "lower":
+                poles, coeff = lower[term[1]]
+                pairs.append(index(poles[:, 0]) * nv + index(poles[:, 1]))
+                spects.append(poles[:, 2:])
+                coefs.append(coeff)
+            else:
+                _, gn1, gn2, C, Cp = term
+                a, s1, c1 = rows(gn1)
+                b, s2, c2 = rows(gn2)
+                n1, n2 = len(a), len(b)
+                pairs.append((a[:, None] * nv + b[None, :]).ravel())
+                coefs.append((c1[:, None] * c2[None, :]).ravel())
+                spect = np.empty((n1 * n2, n - 1, 2), dtype=np.int64)
+                spect[:, list(C)] = np.repeat(s1, n2, axis=0)
+                spect[:, list(Cp)] = np.tile(s2, (n1, 1, 1))
+                spects.append(spect)
+        pair = np.concatenate(pairs)
+        coef = np.concatenate(coefs)
+        spect = np.concatenate(spects)
+        if n == 1:
+            keys = np.zeros((1, 0), dtype=np.int64)
+            row = np.zeros(len(pair), dtype=np.int64)
+        else:
+            keys, row = np.unique(spect.reshape(len(spect), -1), axis=0,
+                                  return_inverse=True)
+            row = row.reshape(-1)
+        nrow = len(keys)
+        # the bracket: one row per spectator key, one column per exponent
+        E = np.empty((nrow, W), dtype=complex)
+        for e in range(W):
+            part = coef * pb[e][pair]
+            E[:, e] = (np.bincount(row, part.real, nrow)
+                       + 1j * np.bincount(row, part.imag, nrow))
+        R = self.kernel[:W, P::-1]
+        vals = E @ R.T
+        mags = np.abs(E) @ np.abs(R).T
+        r, k = np.nonzero(vals)
+        poles = np.empty((len(r), n, 2), dtype=np.int64)
+        poles[:, 0, 0] = i
+        poles[:, 0, 1] = k + 2
+        poles[:, 1:] = keys[r].reshape(len(r), n - 1, 2)
+        return poles, vals[r, k], mags[r, k]
 
 
-def _factor_terms(omega: OmegaSet, loc, bps, h, C, at_sigma, L):
-    """Terms of one splitting factor with its first slot at w or s(w): list of
-    (spectator key, Laurent).  The special two-point case produces the basis
-    expansion in the spectator variable."""
-    k1 = 1 + len(C)
-    if (h, k1) == (0, 1):
-        return None
-    if (h, k1) == (0, 2):
-        # 1/(slot - z_c)^2 at slot = b_i + base(w) expands in the spectator
-        # pole basis: sum_k (k+1) base^k / (z_c - b_i)^(k+2)
-        base = loc.s if at_sigma else wseries(L)
-        out = []
-        pw = np.zeros(L, dtype=complex)
-        pw[0] = 1.0
-        for k in range(L - 1):
-            out.append((((loc.index, k + 2),), (0, (k + 1) * pw.copy())))
-            pw = s_mul(pw, base)
-            if not np.any(pw):
-                break
-        return out
-    tensor = omega.tensors.get((h, k1))
-    if tensor is None:
-        return None
-    out = []
-    for midx, coeff in tensor.items():
-        f = _pole_series(loc, bps, midx[0][0], midx[0][1], at_sigma, L)
-        f = (f[0], f[1] * coeff)
-        out.append((tuple(midx[1:]), f))
-    return out
+def _bracket_terms(g: int, n: int):
+    """The terms of the recursion bracket of step (g, n): "w02" for
+    omega_{0,2}(z, sigma(z)), ("lower", (g-1, n+1)), and
+    ("split", (h, 1+|C|), (g-h, 1+|C'|), C, C') for each stable splitting of
+    the spectator slots 0..n-2 into C and C' (the one-point factors
+    excluded)."""
+    terms = []
+    if g >= 1:
+        terms.append("w02" if (g - 1, n + 1) == (0, 2) else ("lower", (g - 1, n + 1)))
+    slots = range(n - 1)
+    for h in range(g + 1):
+        for size in range(n):
+            for C in combinations(slots, size):
+                Cp = tuple(x for x in slots if x not in C)
+                if (h, len(C)) == (0, 0) or (h, len(Cp)) == (g, 0):
+                    continue
+                terms.append(("split", (h, 1 + len(C)), (g - h, 1 + len(Cp)), C, Cp))
+    return terms
 
 
-def _symmetrize(tensor: dict, n: int):
-    sym: dict = {}
-    for midx, val in tensor.items():
-        for perm in permutations(range(n)):
-            key = tuple(midx[i] for i in perm)
-            sym[key] = sym.get(key, 0j) + val
-    fact = 1.0
-    for k in range(2, n + 1):
-        fact *= k
-    sym = {k: v / fact for k, v in sym.items()}
-    worst = 0.0
-    scale = max((abs(v) for v in sym.values()), default=1.0)
-    for midx, val in tensor.items():
-        worst = max(worst, abs(val - sym[midx]) / scale)
-    sym = {k: v for k, v in sym.items() if abs(v) > 1e-13 * scale}
-    return sym, worst
+def _symmetrize(poles, vals):
+    """Average the entries over the orderings of each multi-index: the
+    symmetric tensor as a dict of every ordering, and the largest deviation
+    of an entry from its average relative to the largest average."""
+    n = poles.shape[1]
+    order_cap = int(poles[..., 1].max(initial=0)) + 1
+    codes = np.sort(poles[..., 0] * order_cap + poles[..., 1], axis=1)
+    groups, inv = np.unique(codes, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    sums = (np.bincount(inv, vals.real, len(groups))
+            + 1j * np.bincount(inv, vals.imag, len(groups)))
+    # orderings of a multi-index: n! / prod(mult!); the running count of
+    # equal neighbours multiplies up to prod(mult!)
+    run = np.ones(len(groups))
+    stab = np.ones(len(groups))
+    for p in range(1, n):
+        run = np.where(groups[:, p] == groups[:, p - 1], run + 1, 1)
+        stab *= run
+    avg = sums * stab / math.factorial(n)
+    scale = np.abs(avg).max(initial=0.0) or 1.0
+    asym = float(np.abs(vals - avg[inv]).max(initial=0.0) / scale)
+    tensor: dict = {}
+    for key, val in zip(groups, avg):
+        if abs(val) <= 1e-13 * scale:
+            continue
+        midx = tuple((int(c) // order_cap, int(c) % order_cap) for c in key)
+        for perm in sorted(set(permutations(midx))):
+            tensor[perm] = complex(val)
+    return tensor, asym
 
 
 # ---------------------------------------------------------------------------
