@@ -434,27 +434,27 @@ def tr_compute(curve: NumericCurve, g_max: int, n_max: int,
     depth = 6 * g_max - 2 + 2 * (n_max + 2) + depth_margin
     locs = [local_data(curve, i, depth) for i in range(nb)]
     ops = [_BranchOperators(loc, curve.branchpoints) for loc in locs]
+    rho = max(abs(b) for b in curve.branchpoints)
     lower: dict = {}
     for g, n in steps:
         parts = [op.residues(lower, g, n) for op in ops]
         poles = np.concatenate([p[0] for p in parts])
         vals = np.concatenate([p[1] for p in parts])
         mags = np.concatenate([p[2] for p in parts])
-        # drop numerically-zero entries
-        size = np.abs(vals)
-        keep = size > 1e-13 * size.max(initial=0.0)
-        poles, vals, mags, size = poles[keep], vals[keep], mags[keep], size[keep]
+        keep = _nonzero(poles, vals, rho)
+        poles, vals, mags = poles[keep], vals[keep], mags[keep]
         bound = 6 * g - 4 + 2 * n
         orders = poles[..., 1]
         if orders.size and (orders.max() > bound or orders.min() < 2):
             raise RingUsageError(
                 f"pole order outside [2, {bound}] at (g,n)=({g},{n})")
-        tensor, asym = _symmetrize(poles, vals)
+        tensor, asym = _symmetrize(poles, vals, rho)
         omega.tensors[(g, n)] = tensor
         omega.asymmetry[(g, n)] = asym
         # residue-extraction amplification: the output coefficients keep
         # about 16 - log10(condition) correct digits
-        omega.condition[(g, n)] = float(max(1.0, (mags / size).max(initial=1.0)))
+        omega.condition[(g, n)] = float(
+            max(1.0, (mags / np.abs(vals)).max(initial=1.0)))
         lower[(g, n)] = _coo(tensor, n)
     if quadrature_check:
         omega.quadrature = {
@@ -658,7 +658,17 @@ def _bracket_terms(g: int, n: int):
     return terms
 
 
-def _symmetrize(poles, vals):
+def _nonzero(poles, vals, rho):
+    """Mask of the entries that are not numerically zero.  A coefficient of
+    total pole order K scales like rho^K (rho the largest |b_i|), so entries
+    are compared after dividing by that scale: raw magnitudes span more
+    decades than double precision holds, and a cut on them drops real
+    low-order coefficients."""
+    size = np.abs(vals) / rho ** poles[..., 1].sum(axis=-1).astype(float)
+    return size > 1e-13 * size.max(initial=0.0)
+
+
+def _symmetrize(poles, vals, rho):
     """Average the entries over the orderings of each multi-index: the
     symmetric tensor as a dict of every ordering, and the largest deviation
     of an entry from its average relative to the largest average."""
@@ -679,11 +689,11 @@ def _symmetrize(poles, vals):
     avg = sums * stab / math.factorial(n)
     scale = np.abs(avg).max(initial=0.0) or 1.0
     asym = float(np.abs(vals - avg[inv]).max(initial=0.0) / scale)
+    pairs = np.stack([groups // order_cap, groups % order_cap], axis=-1)
+    keep = _nonzero(pairs, avg, rho)
     tensor: dict = {}
-    for key, val in zip(groups, avg):
-        if abs(val) <= 1e-13 * scale:
-            continue
-        midx = tuple((int(c) // order_cap, int(c) % order_cap) for c in key)
+    for key, val in zip(pairs[keep].tolist(), avg[keep]):
+        midx = tuple(map(tuple, key))
         for perm in sorted(set(permutations(midx))):
             tensor[perm] = complex(val)
     return tensor, asym
