@@ -516,7 +516,7 @@ class _BranchOperators:
         lag = np.subtract.outer(np.arange(2 * Q + 1), np.arange(2 * Q + 1))
         sp = loc.sp[np.clip(lag, 0, Q)]
         self.u = u
-        self.v = v @ np.where((lag >= 0) & (lag <= Q), sp, 0).T
+        self.v = np.einsum('ry,xy->rx', v, np.where((lag >= 0) & (lag <= Q), sp, 0))
         diff = wseries(L) - s
         w02 = s_mul(loc.sp[:L - 1], s_inv(s_mul(diff[1:], diff[1:])))
         self.w02 = np.zeros(2 * Q + 1, dtype=complex)
@@ -575,29 +575,33 @@ class _BranchOperators:
         vs = np.append(self.v[sel, Q - P:Q + P + 1], np.zeros((nv, 1)), axis=1)
         lag = np.subtract.outer(np.arange(W), np.arange(2 * P + 1)) + P
         toe = vs[:, np.where((lag >= 0) & (lag <= 2 * P), lag, 2 * P + 1)]
-        pb = (us @ toe.reshape(nv * W, 2 * P + 1).T).reshape(nv * nv, W)
+        # einsum rather than matmul: the products are small, and a first
+        # BLAS call would make resident about 1.2 MB of work buffers
+        pb = np.einsum('ax,bex->abe', us, toe).reshape(nv * nv, W)
         pb = np.append(pb, self.w02[None, Q - P:Q + 1], axis=0).T.copy()
 
+        # spectator poles as codes j * kc + k; every order here is below kc
+        kc = Q + 3
+
         def rows(gn):
-            """(basis index, spectator poles, coefficient) of the rows of one
+            """(basis index, spectator codes, coefficient) of the rows of one
             factor whose first slot is the integration point."""
             if gn == (0, 2):
                 m = np.arange(W)
-                spect = np.stack([np.full(W, i), m + 2], axis=1)[:, None, :]
-                return nb * kst + m, spect, np.ones(W, dtype=complex)
+                return nb * kst + m, (i * kc + m + 2)[:, None], np.ones(W, dtype=complex)
             poles, coeff = lower[gn]
-            return index(poles[:, 0]), poles[:, 1:], coeff
+            return index(poles[:, 0]), poles[:, 1:, 0] * kc + poles[:, 1:, 1], coeff
 
         pairs, spects, coefs = [], [], []
         for term in terms:
             if term == "w02":
                 pairs.append(np.array([nv * nv]))
-                spects.append(np.zeros((1, 0, 2), dtype=np.int64))
+                spects.append(np.zeros((1, 0), dtype=np.int64))
                 coefs.append(np.ones(1, dtype=complex))
             elif term[0] == "lower":
                 poles, coeff = lower[term[1]]
                 pairs.append(index(poles[:, 0]) * nv + index(poles[:, 1]))
-                spects.append(poles[:, 2:])
+                spects.append(poles[:, 2:, 0] * kc + poles[:, 2:, 1])
                 coefs.append(coeff)
             else:
                 _, gn1, gn2, C, Cp = term
@@ -606,20 +610,15 @@ class _BranchOperators:
                 n1, n2 = len(a), len(b)
                 pairs.append((a[:, None] * nv + b[None, :]).ravel())
                 coefs.append((c1[:, None] * c2[None, :]).ravel())
-                spect = np.empty((n1 * n2, n - 1, 2), dtype=np.int64)
+                spect = np.empty((n1 * n2, n - 1), dtype=np.int64)
                 spect[:, list(C)] = np.repeat(s1, n2, axis=0)
-                spect[:, list(Cp)] = np.tile(s2, (n1, 1, 1))
+                spect[:, list(Cp)] = np.tile(s2, (n1, 1))
                 spects.append(spect)
         pair = np.concatenate(pairs)
         coef = np.concatenate(coefs)
         spect = np.concatenate(spects)
-        if n == 1:
-            keys = np.zeros((1, 0), dtype=np.int64)
-            row = np.zeros(len(pair), dtype=np.int64)
-        else:
-            keys, row = np.unique(spect.reshape(len(spect), -1), axis=0,
-                                  return_inverse=True)
-            row = row.reshape(-1)
+        first, row = _group_rows(spect, nb * kc)
+        keys = spect[first]
         nrow = len(keys)
         # the bracket: one row per spectator key, one column per exponent
         E = np.empty((nrow, W), dtype=complex)
@@ -628,14 +627,26 @@ class _BranchOperators:
             E[:, e] = (np.bincount(row, part.real, nrow)
                        + 1j * np.bincount(row, part.imag, nrow))
         R = self.kernel[:W, P::-1]
-        vals = E @ R.T
-        mags = np.abs(E) @ np.abs(R).T
+        vals = np.einsum('re,ke->rk', E, R)
+        mags = np.einsum('re,ke->rk', np.abs(E), np.abs(R))
         r, k = np.nonzero(vals)
         poles = np.empty((len(r), n, 2), dtype=np.int64)
         poles[:, 0, 0] = i
         poles[:, 0, 1] = k + 2
-        poles[:, 1:] = keys[r].reshape(len(r), n - 1, 2)
+        poles[:, 1:, 0], poles[:, 1:, 1] = np.divmod(keys[r], kc)
         return poles, vals[r, k], mags[r, k]
+
+
+def _group_rows(codes, base):
+    """Rows of equal code tuples: the index of one member of each group, in
+    lexicographic order of the tuples, and each row's group.  Refines the
+    grouping column by column, so that no key exceeds len(codes) * base."""
+    group = np.zeros(len(codes), dtype=np.int64)
+    first = np.zeros(min(len(codes), 1), dtype=np.int64)
+    for col in codes.T:
+        _, first, group = np.unique(group * base + col, return_index=True,
+                                    return_inverse=True)
+    return first, group
 
 
 def _bracket_terms(g: int, n: int):
@@ -675,8 +686,8 @@ def _symmetrize(poles, vals, rho):
     n = poles.shape[1]
     order_cap = int(poles[..., 1].max(initial=0)) + 1
     codes = np.sort(poles[..., 0] * order_cap + poles[..., 1], axis=1)
-    groups, inv = np.unique(codes, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
+    first, inv = _group_rows(codes, int(codes.max(initial=0)) + 1)
+    groups = codes[first]
     sums = (np.bincount(inv, vals.real, len(groups))
             + 1j * np.bincount(inv, vals.imag, len(groups)))
     # orderings of a multi-index: n! / prod(mult!); the running count of
