@@ -123,6 +123,7 @@ def cmd_tr(cfg: RunConfig, out: str) -> int:
         "branchpoints": [[b.real, b.imag] for b in curve.branchpoints],
         "omega": omega.to_records(),
         "asymmetry": {f"{g},{n}": v for (g, n), v in omega.asymmetry.items()},
+        "condition": {f"{g},{n}": v for (g, n), v in omega.condition.items()},
     }
     d_max = tr_oracle_depth(cfg.model, cfg.d_max)
     bounds = EllBounds(run_max=cfg.run_max, exp_run_max=cfg.exp_run_max)

@@ -417,16 +417,15 @@ def _dependency_closure(targets):
 def tr_compute(curve: NumericCurve, g_max: int, n_max: int,
                depth_margin: int = 4, quadrature_check: bool = False,
                targets=None) -> OmegaSet:
-    """Run the residue recursion for every (g, n) with 2g - 2 + n between 1
-    and the target level; output in pole-coefficient form with the structural
-    bounds asserted at each step.  Passing explicit targets restricts the
-    computation to their dependency closure."""
-    chi_max = 2 * g_max - 2 + n_max
-    if chi_max < 1:
+    """Run the residue recursion on the dependency closure of the targets,
+    by default the box g <= g_max, n <= n_max; output in pole-coefficient
+    form with the structural bounds asserted at each step.  g_max and n_max
+    also fix the local expansion depth.  With quadrature_check, every
+    computed (g, n) is recomputed by contour quadrature."""
+    if 2 * g_max - 2 + n_max < 1:
         raise RingUsageError("need 2 g_max - 2 + n_max >= 1")
     if targets is None:
-        targets = [(g, chi + 2 - 2 * g) for chi in range(1, chi_max + 1)
-                   for g in range((chi + 1) // 2 + 1) if chi + 2 - 2 * g >= 1]
+        targets = [(g, n) for g in range(g_max + 1) for n in range(1, n_max + 1)]
     steps = sorted(_dependency_closure(targets),
                    key=lambda gn: (2 * gn[0] + gn[1], gn[0]))
     omega = OmegaSet(curve)
@@ -457,9 +456,8 @@ def tr_compute(curve: NumericCurve, g_max: int, n_max: int,
             max(1.0, (mags / np.abs(vals)).max(initial=1.0)))
         lower[(g, n)] = _coo(tensor, n)
     if quadrature_check:
-        omega.quadrature = {
-            (g, n): residue_quadrature_check(omega, locs, g, n)
-            for (g, n) in omega.tensors if (g, n) in ((0, 3), (1, 1))}
+        omega.quadrature = {(g, n): residue_quadrature_check(omega, locs, g, n)
+                            for (g, n) in omega.tensors}
     return omega
 
 
@@ -715,37 +713,40 @@ def _symmetrize(poles, vals, rho):
 
 
 def residue_quadrature_check(omega: OmegaSet, locs, g, n, n_points: int = 400):
-    """Contour-trapezoid recomputation of one recursion step at sample
-    spectator points, against the pole-coefficient result.  Covers the
-    three-holed sphere and the one-holed torus."""
+    """Contour-trapezoid recomputation of the recursion step (g, n) at sample
+    spectator points, against the pole-coefficient result.  The bracket is
+    evaluated from the lower correlators (`OmegaSet.evaluate`) and the closed
+    form of omega_{0,2}: of the recursion's local data only the involution
+    and the kernel denominator enter, not its pole expansions."""
     curve = omega.curve
     bps = curve.branchpoints
     rng = np.random.default_rng(7)
     scale = max(abs(b) for b in bps)
     zs = [scale * (2.5 + 0.5 * k) * np.exp(2j * np.pi * rng.random())
           for k in range(n)]
+    thetas = np.linspace(0, 2 * np.pi, n_points, endpoint=False)
     worst = 0.0
     for radii_scale in (0.05, 0.08):
         total = 0j
         for loc in locs:
             rho = radii_scale * min(
                 [abs(loc.b - b) for b in bps if b != loc.b] + [abs(loc.b)])
-            thetas = np.linspace(0, 2 * np.pi, n_points, endpoint=False)
-            acc = 0j
-            for th in thetas:
-                w = rho * np.exp(1j * th)
-                z = loc.b + w
-                sig = loc.b + horner(loc.s, w)
-                spw = horner(loc.sp, w)
-                K = _kernel_value(curve, loc, zs[0], z, sig)
-                if (g, n) == (0, 3):
-                    # the two orderings of omega_{0,2}(z, z_a) omega_{0,2}(sig, z_b)
-                    br = (1.0 / (z - zs[1]) ** 2 * (1.0 / (sig - zs[2]) ** 2) * spw
-                          + 1.0 / (z - zs[2]) ** 2 * (1.0 / (sig - zs[1]) ** 2) * spw)
+            w = rho * np.exp(1j * thetas)
+            z = loc.b + w
+            sig = loc.b + horner(loc.s, w)
+            br = 0j
+            for term in _bracket_terms(g, n):
+                if term == "w02":
+                    br = br + 1.0 / (z - sig) ** 2
+                elif term[0] == "lower":
+                    br = br + omega.evaluate(*term[1], [z, sig, *zs[1:]])
                 else:
-                    br = spw / (z - sig) ** 2
-                acc += K * br * (1j * w)
-            total += acc * (2 * np.pi / n_points) / (2j * np.pi)
+                    _, gn1, gn2, C, Cp = term
+                    br = br + (omega.evaluate(*gn1, [z] + [zs[1 + c] for c in C])
+                               * omega.evaluate(*gn2, [sig] + [zs[1 + c] for c in Cp]))
+            K = _kernel_value(curve, loc, zs[0], z, sig)
+            # (1 / 2 pi i) * sum over the circle of K * bracket * s' dz
+            total += np.sum(K * br * horner(loc.sp, w) * w) / n_points
         direct = omega.evaluate(g, n, zs)
         worst = max(worst, abs(total - direct) / max(abs(direct), 1e-300))
     return worst

@@ -168,6 +168,11 @@ def test_tr_command_runs(tmp_path):
     assert cli.main(["tr", "--config", path]) == 0
     payload = json.load(open(tmp_path / "out" / "omega.json"))
     assert "omega" in payload and payload["comparison"]["pass"]
+    # the box g <= 1, n <= 3 and its dependency (0,4), each with its
+    # residue conditioning
+    assert set(payload["omega"]) == {"0,3", "0,4", "1,1", "1,2", "1,3"}
+    assert set(payload["condition"]) == set(payload["omega"])
+    assert min(payload["condition"].values()) >= 1.0
 
 
 def test_curve_export_exponential_blocks(tmp_path):

@@ -220,6 +220,32 @@ def test_quadrature_double_check(curve10):
     assert omega.quadrature[(1, 1)] < 1e-9
 
 
+def test_quadrature_checks_every_step(curve10):
+    # (1,2) read 0.30 while the drop rule cut real low-order coefficients
+    omega = tr_compute(curve10, 1, 3, quadrature_check=True)
+    assert set(omega.quadrature) == set(omega.tensors)
+    for gn in ((0, 3), (0, 4), (1, 1), (1, 2)):
+        assert omega.quadrature[gn] <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP open item 6 (quadrature check "
+                   "at high pole order): 2.6e-5 at (2,1) with radii 0.05, 0.08")
+def test_quadrature_genus_two(curve10):
+    omega = tr_compute(curve10, 2, 1, quadrature_check=True)
+    assert omega.quadrature[(2, 1)] <= 1e-8
+
+
+def test_default_is_the_box_closure(omega10):
+    assert set(omega10.tensors) == {(0, 3), (0, 4), (1, 1), (1, 2), (1, 3)}
+
+
+def test_recursion_is_deterministic(curve10, omega10):
+    again = tr_compute(curve10, 1, 3)
+    assert again.tensors == omega10.tensors
+    assert again.condition == omega10.condition
+    assert again.asymmetry == omega10.asymmetry
+
+
 def test_alpha0_two_construction_paths_agree():
     p0 = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[0],
                           q=[F(1, 5), F(1, 8)], T=6)
@@ -287,6 +313,19 @@ def test_sharp_one_holed_torus_vs_deep_character_oracle(curve10):
         orc = (evaluate_oracle_wgn(w11, curve10.t, [1.0 / curve10.X(z)])
                * curve10.x_series(z, 2)[1])
         assert abs(tr - orc) / abs(tr) < 5e-7
+
+
+def test_two_point_torus_vs_deep_character_oracle(curve10, omega10):
+    # the d = 8 character series reaches (1,2), which the enumeration does
+    # not; the deviation was 1.0 while the drop rule cut real low-order
+    # coefficients, and the sample points' float floor is about 7e-5
+    from wht.oracle import wgn_via_characters
+    deep = ModelParams.make(1, 0, u=[F(1, 2)], p=[F(1, 6), F(1, 10)],
+                            q=[F(1, 5), F(1, 8)], T=8)
+    rep = compare_oracle(omega10, {(1, 2): wgn_via_characters(deep, 8, 1, 2)},
+                         curve10, {(1, 2): sample_points(2)}, tol=1e-6)
+    assert rep["pass"]
+    assert rep["cases"]["1,2"]["max"] < 1e-4
 
 
 def test_sample_guard(curve10, omega10, oracle10):
