@@ -125,6 +125,10 @@ def _validate_ranges(cfg: RunConfig):
         raise ConfigError("toprec.g_max in 0..3 and n_max in 1..5")
     if cfg.tol <= 0:
         raise ConfigError("toprec.tol must be positive")
+    if cfg.depth_margin < 0:
+        # a shallower expansion than the pole orders need: tr_compute stops
+        # with a pole depth overflow
+        raise ConfigError("toprec.depth_margin must be nonnegative")
     if abs(cfg.toprec_t) > T_CAP:
         raise ConfigError(f"toprec.t_value must have |t| <= {T_CAP}, "
                           f"got |t| = {abs(cfg.toprec_t)}")

@@ -47,6 +47,7 @@ def test_config_rejects_unknown_task(tmp_path):
     ("model", "p", [0.25, "1/10"], "model.p"),
     ("model", "scalar_mode", "numeric", "model.scalar_mode"),
     ("toprec", "t_value", [0.9, 0.0], "toprec.t_value"),
+    ("toprec", "depth_margin", -6, "toprec.depth_margin"),
 ])
 def test_inexact_or_out_of_range_config_exits_2(tmp_path, capsys, section,
                                                  key, value, named):
