@@ -10,14 +10,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial
 
-from .model import ModelParams
+from .model import EllBounds, ModelParams
+from .oracle import enumeration_total
 from .ring import MPoly
 from .toprec import T_CAP
 
 
 class ConfigError(Exception):
     pass
+
+
+# the S_8 multiplication table alone would take 40320^2 int32 entries, 6.5 GB
+D_MAX = 7
 
 
 KNOWN_TASKS = (
@@ -117,8 +123,14 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def _validate_ranges(cfg: RunConfig):
-    if not (1 <= cfg.d_max <= 8):
-        raise ConfigError("oracle.d_max must be in 1..8")
+    if cfg.d_max < 1:
+        raise ConfigError(f"oracle.d_max must be in 1..{D_MAX}")
+    if cfg.d_max > D_MAX:
+        n = factorial(cfg.d_max)
+        raise ConfigError(
+            f"oracle.d_max must be in 1..{D_MAX}: the S_{cfg.d_max} "
+            f"multiplication table alone takes {n}^2 x 4 B = "
+            f"{4 * n * n / 1e9:.2g} GB")
     if cfg.run_max < 0 or (cfg.exp_run_max is not None and cfg.exp_run_max < 0):
         raise ConfigError("run bounds must be nonnegative")
     if not (0 <= cfg.g_max <= 3 and 1 <= cfg.n_max <= 5):
@@ -134,6 +146,21 @@ def _validate_ranges(cfg: RunConfig):
                           f"got |t| = {abs(cfg.toprec_t)}")
     if cfg.model.has_exp and cfg.exp_run_max is None:
         raise ConfigError("exponential models need oracle.exp_run_max")
+    # the largest size has the most tuples, and no int64 count can exceed
+    # the total.  From d = 3 on, runs of length 63 alone reach 2^63, so
+    # longer caps need not be counted.
+    caps = [cfg.run_max, cfg.exp_run_max]
+    if cfg.d_max >= 3:
+        caps = [None if c is None else min(c, 63) for c in caps]
+    total = enumeration_total(cfg.d_max, cfg.model, EllBounds(*caps))
+    if total >= 2 ** 63:
+        grows = [key for key, on in (("oracle.run_max", cfg.model.r),
+                                     ("oracle.exp_run_max", cfg.model.has_exp))
+                 if on] or ["oracle.d_max"]
+        raise ConfigError(
+            f"the enumeration at d = {cfg.d_max} counts at least "
+            f"2^{total.bit_length() - 1} tuples, past the int64 range (2^63) "
+            f"of its counts; lower {' or '.join(grows)}")
 
 
 def emit_config(cfg: RunConfig) -> dict:

@@ -2,8 +2,9 @@
 
 Two fully independent routes compute the same numbers:
 
-* exhaustive enumeration of factorisation tuples in the symmetric group,
-  with transitivity tracked through set-partition joins, and
+* exhaustive counting of factorisation tuples in the symmetric group, by a
+  forward dynamic program over (partial product, set-partition join, key
+  prefix) that tracks transitivity through the joins, and
 * the character expansion of the grand generating function (Schur route).
 
 Everything downstream (spectral series, slice formulas, topological
@@ -13,7 +14,7 @@ recursion) is validated against the tables produced here.
 from __future__ import annotations
 
 import itertools
-import json
+from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
@@ -26,7 +27,8 @@ from .ring import MPoly, TSeries, RingUsageError, is_zero
 __all__ = [
     "ModelParams", "EllBounds", "HurwitzTable",
     "partitions", "cycle_type", "class_size", "character_value",
-    "monotone_runs", "enumerate_factorisations", "build_table",
+    "monotone_runs", "enumerate_factorisations", "enumeration_total",
+    "build_table",
     "tau_schur", "tau_from_table", "hurwitz_character_table", "wgn_oracle",
     "content_weight",
 ]
@@ -202,10 +204,22 @@ def _truncate_var(p: MPoly, name: str, cap: int) -> MPoly:
 # ---------------------------------------------------------------------------
 # symmetric group tables (cached per d)
 
+# elements per block of the numpy work in this module: large enough to run at
+# numpy speed, small enough that no transient array shows in peak memory
+_CHUNK = 1 << 12
+
 
 class SymmetricGroupTables:
     """Permutations of [d] as indices, with composition, inverse, cycle data,
-    and set-partition joins, all as numpy lookup tables."""
+    and set-partition joins, all as numpy lookup tables.
+
+    Permutations are indexed in lexicographic order, set partitions in the
+    lexicographic order of their restricted growth strings (blocks numbered
+    by their smallest elements).  Tables are filled through integer codes,
+    sum p[k] d^k for a permutation and sum s[k] k! for a growth string, each
+    looked up in a dense code table.  Indices are int16 up to S_7, which
+    halves the memory of the two square tables.
+    """
 
     def __init__(self, d: int):
         self.d = d
@@ -215,29 +229,21 @@ class SymmetricGroupTables:
         index = {p: i for i, p in enumerate(perms)}
         self.index = index
         self.id_idx = index[tuple(range(d))]
+        idx = np.int16 if self.n <= np.iinfo(np.int16).max else np.int32
 
-        P = np.array(perms, dtype=np.int64)
-        radix = np.array([d ** k for k in range(d)], dtype=np.int64)
-        code_of = {int(row @ radix): i for i, row in enumerate(P)}
-        mul = np.empty((self.n, self.n), dtype=np.int32)
-        for a in range(self.n):
-            composed = P[a][P]          # row b = a after b
-            codes = composed @ radix
-            mul[a] = [code_of[int(cd)] for cd in codes]
+        P = np.array(perms, dtype=np.int64).reshape(self.n, d)
+        P_inv = np.argsort(P, axis=1)
+        radix = d ** np.arange(d, dtype=np.int64)
+        perm_of_code = np.zeros(d ** d, dtype=idx)
+        perm_of_code[P @ radix] = np.arange(self.n)
+        # mul[a, b] = a after b, whose code is sum_v a(v) d^(b^-1(v))
+        inv_radix = radix[P_inv].T
+        mul = np.empty((self.n, self.n), dtype=idx)
+        rows = max(1, _CHUNK // self.n)
+        for a in range(0, self.n, rows):
+            mul[a:a + rows] = perm_of_code[P[a:a + rows] @ inv_radix]
         self.mul = mul
-        inv = np.empty(self.n, dtype=np.int32)
-        for i, p in enumerate(perms):
-            q = [0] * d
-            for k, v in enumerate(p):
-                q[v] = k
-            inv[i] = index[tuple(q)]
-        self.inv = inv
-
-        self.types = list(partitions(d))
-        type_index = {t: i for i, t in enumerate(self.types)}
-        self.type_idx = np.array([type_index[cycle_type(p)] for p in perms],
-                                 dtype=np.int32)
-        self.ncycles = np.array([len(cycle_type(p)) for p in perms], dtype=np.int32)
+        self.inv = perm_of_code[P_inv @ radix]
 
         # set partitions of [d] as restricted-growth strings
         parts = []
@@ -254,95 +260,61 @@ class SymmetricGroupTables:
         self.discrete_idx = self.part_index[tuple(range(d))]
         self.full_idx = self.part_index[(0,) * d]
 
-        join = np.empty((self.nparts, self.nparts), dtype=np.int32)
-        for a, pa in enumerate(parts):
-            for b, pb in enumerate(parts):
-                join[a, b] = self.part_index[_join_rgs(pa, pb)]
+        # pair_join[j, i, p]: p with the blocks of j and i merged.  Blocks
+        # numbered after the absorbed one move down by one.
+        R = np.array(parts, dtype=np.int64).reshape(self.nparts, d)
+        fact = np.array([factorial(k) for k in range(d)], dtype=np.int64)
+        part_of_code = np.zeros(max(factorial(d), 1), dtype=idx)
+        part_of_code[R @ fact] = np.arange(self.nparts)
+        pair_join = np.empty((d, d, self.nparts), dtype=idx)
+        for j in range(d):
+            for i in range(d):
+                lo = np.minimum(R[:, j], R[:, i])[:, None]
+                hi = np.maximum(R[:, j], R[:, i])[:, None]
+                S = np.where(R == hi, lo, R)
+                pair_join[j, i] = part_of_code[(S - ((S > hi) & (lo < hi))) @ fact]
+
+        # join(a, b) = join(join(a, b'), {y, x}), where b' splits off b's last
+        # element x that is not the smallest of its block and y precedes x
+        # there; b' comes later in the order, so columns fill from the end
+        join = np.empty((self.nparts, self.nparts), dtype=idx)
+        join[:, self.discrete_idx] = np.arange(self.nparts)
+        for b in range(self.nparts - 1, -1, -1):
+            rgs = parts[b]
+            x = max((k for k in range(1, d) if rgs[k] <= max(rgs[:k])),
+                    default=None)
+            if x is None:
+                continue
+            y = max(k for k in range(x) if rgs[k] == rgs[x])
+            split = (rgs[:x] + (max(rgs[:x]) + 1,)
+                     + tuple(v + 1 for v in rgs[x + 1:]))
+            join[:, b] = pair_join[y, x, join[:, self.part_index[split]]]
         self.join = join
 
-        self.cpart = np.array(
-            [self.part_index[_rgs_from_blocks(_cycles_of(p))] for p in perms],
-            dtype=np.int32)
-        self.pair_part = {}
-        for j in range(d):
-            for i in range(j + 1, d):
-                blocks = [[j, i]] + [[x] for x in range(d) if x not in (j, i)]
-                self.pair_part[(j, i)] = self.part_index[_rgs_from_blocks(blocks)]
+        # the cycles of a permutation: the join of the pairs {k, p(k)}
+        cpart = np.full(self.n, self.discrete_idx, dtype=idx)
+        for k in range(d):
+            cpart = pair_join[k, P[:, k], cpart]
+        self.cpart = cpart
+        self.pair_part = {(j, i): int(pair_join[j, i, self.discrete_idx])
+                          for j in range(d) for i in range(j + 1, d)}
         self.transpositions = [
             (index[_transposition(d, j, i)], self.pair_part[(j, i)], j, i)
             for i in range(d) for j in range(i)]
+
+        self.types = list(partitions(d))
+        type_index = {t: i for i, t in enumerate(self.types)}
+        block_type = np.array(
+            [type_index[tuple(sorted(Counter(p).values(), reverse=True))]
+             for p in parts], dtype=idx)
+        self.type_idx = block_type[cpart]
+        self.ncycles = (R.max(axis=1, initial=-1) + 1).astype(idx)[cpart]
 
 
 def _transposition(d, j, i):
     p = list(range(d))
     p[j], p[i] = p[i], p[j]
     return tuple(p)
-
-
-def _cycles_of(perm):
-    n = len(perm)
-    seen = [False] * n
-    cycles = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        c = []
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            c.append(j)
-            j = perm[j]
-        cycles.append(c)
-    return cycles
-
-
-def _rgs_from_blocks(blocks):
-    n = sum(len(b) for b in blocks)
-    lab = [0] * n
-    for b in blocks:
-        root = min(b)
-        for x in b:
-            lab[x] = root
-    # canonicalise to restricted growth
-    out = []
-    seen = {}
-    for x in lab:
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return tuple(out)
-
-
-def _join_rgs(pa, pb):
-    n = len(pa)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for p in (pa, pb):
-        first = {}
-        for x, b in enumerate(p):
-            if b in first:
-                union(first[b], x)
-            else:
-                first[b] = x
-    lab = [find(x) for x in range(n)]
-    seen = {}
-    out = []
-    for x in lab:
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return tuple(out)
 
 
 @lru_cache(maxsize=8)
@@ -606,19 +578,22 @@ class HurwitzTable:
             })
         return recs
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_records(), indent=1, sort_keys=True)
-
 
 def enumerate_factorisations(d: int, params: ModelParams,
                              bounds: EllBounds) -> HurwitzTable:
     """Exact counts of factorisation tuples for one symmetric-group size.
 
-    The first permutation of the tuple is forced by the identity-product
-    constraint; the remaining factors are enumerated, with monotone runs
-    compressed to (product, connectivity-join) pairs, which is lossless for
-    every recorded statistic.  Transitivity is the join of the per-factor
-    partitions reaching the one-block partition.
+    A forward dynamic program over the free factors in word order: sigma_-1,
+    the free run, sigma_0..sigma_{m-1}, the monotone runs.  A state is (partial
+    product, join of the factors' partitions, key prefix) with its tuple
+    count; each factor crosses the states with its choices, and equal states
+    are summed.  Runs enter compressed to (product, connectivity join, length)
+    with their multiplicities, which is lossless for every recorded statistic.
+    The last factor closes the product with sigma_-2 = W^-1, which gives lam
+    and, through the join reaching the one-block partition, transitivity.
+
+    Counts are int64.  Their sum is checked against the exact tuple count
+    `enumeration_total`; a mismatch means a count reached 2^63 and raises.
     """
     table = HurwitzTable(params.m, params.r, params.has_exp)
     table.coverage[d] = bounds
@@ -629,118 +604,125 @@ def enumerate_factorisations(d: int, params: ModelParams,
     if run_max < 0 or (exp_max is not None and exp_max < 0):
         return table
     tb = _tables(d)
+    space = (2 * tb.n * tb.nparts * len(tb.types) * d ** params.m
+             * (run_max + 1) ** params.r * (exp_max + 1 if params.has_exp else 1))
+    if space >= 2 ** 63:
+        raise RingUsageError(f"enumeration keys need {space.bit_length()} "
+                             f"bits, more than int64 holds")
+    axes = _axes(tb, params, run_max, exp_max)
 
-    runs = _run_distributions(tb, run_max, monotone=True) if params.r else None
-    eruns = (_run_distributions(tb, exp_max, monotone=False)
-             if params.has_exp else None)
+    state = (np.array([tb.id_idx]), np.array([tb.discrete_idx]),
+             np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    ncodes = 1
+    for k, ax in enumerate(axes):
+        ncodes *= ax[-1]
+        keys, counts = _cross(tb, state, ax, ncodes, closing=k == len(axes) - 1)
+        if k < len(axes) - 1:
+            state = (keys // (tb.nparts * ncodes), keys // ncodes % tb.nparts,
+                     keys % ncodes, counts)
 
-    def run_entries(dists, cap):
-        entries = []
-        for ln in range(cap + 1):
-            pis, ps = np.nonzero(dists[ln])
-            cnts = dists[ln][pis, ps]
-            entries.append((pis.astype(np.int32), ps.astype(np.int32),
-                            cnts, ln))
-        return entries
-
-    all_perms = np.arange(tb.n, dtype=np.int32)
-    defic = d - tb.ncycles
-
-    # axes in word order: sigma_{-1}, [exp run], sigma_0..sigma_{m-1}, runs
-    axes = [("mu", None)]
-    if params.has_exp:
-        axes.append(("exp", run_entries(eruns, exp_max)))
-    for i in range(params.m):
-        axes.append(("sigma", i))
-    for j in range(params.r):
-        axes.append(("run", run_entries(runs, run_max)))
-
-    key_roles = []   # role layout for assembling final keys
-    for kind, data in axes:
-        key_roles.append(kind)
-
-    types = tb.types
-    ntypes = len(types)
-
-    def vector_finish(W, PJ, wmult, prefix, axis):
-        kind, data = axis
-        if kind == "mu":
-            raise RingUsageError("mu axis cannot be last")
-        if kind == "sigma":
-            pis, parts, keyvals, weights = all_perms, tb.cpart, defic, None
-            nk = d + 1
-        else:
-            # concatenate the per-length sparse states
-            pis = np.concatenate([e[0] for e in data])
-            parts = np.concatenate([e[1] for e in data])
-            weights = np.concatenate([e[2] for e in data])
-            keyvals = np.concatenate(
-                [np.full(len(e[0]), e[3], dtype=np.int64) for e in data])
-            nk = (run_max if kind == "run" else exp_max) + 1
-        Wf = tb.mul[W, pis]
-        s2 = tb.inv[Wf]
-        lam_idx = tb.type_idx[s2]
-        pj = tb.join[PJ, parts]
-        pj = tb.join[pj, tb.cpart[s2]]
-        conn = (pj == tb.full_idx).astype(np.int64)
-        code = (lam_idx.astype(np.int64) * nk + keyvals) * 2 + conn
-        sums = np.zeros(ntypes * nk * 2, dtype=np.int64)
-        if weights is None:
-            np.add.at(sums, code, np.int64(wmult))
-        else:
-            np.add.at(sums, code, weights * np.int64(wmult))
-        nz = np.nonzero(sums)[0]
-        for c in nz:
-            cnt = int(sums[c])
-            conn_f = bool(c & 1)
-            kv = (c >> 1) % nk
-            li = (c >> 1) // nk
-            key = _assemble_key(params, types[li], prefix + [int(kv)], key_roles)
-            table.add(key + (conn_f,), cnt)
-
-    def rec(ai, W, PJ, wmult, prefix):
-        if ai == len(axes) - 1:
-            vector_finish(W, PJ, wmult, prefix, axes[ai])
-            return
-        kind, data = axes[ai]
-        if kind == "mu":
-            for pi in range(tb.n):
-                rec(ai + 1, tb.mul[W, pi], int(tb.join[PJ, tb.cpart[pi]]),
-                    wmult, prefix + [int(tb.type_idx[pi])])
-        elif kind == "sigma":
-            for pi in range(tb.n):
-                rec(ai + 1, tb.mul[W, pi], int(tb.join[PJ, tb.cpart[pi]]),
-                    wmult, prefix + [int(defic[pi])])
-        else:
-            for (pis, ps, cnts, ln) in data:
-                for k in range(len(pis)):
-                    rec(ai + 1, tb.mul[W, pis[k]],
-                        int(tb.join[PJ, ps[k]]),
-                        wmult * int(cnts[k]), prefix + [ln])
-
-    rec(0, tb.id_idx, tb.discrete_idx, 1, [])
+    if sum(counts.tolist()) != enumeration_total(d, params, bounds):
+        raise RingUsageError(f"tuple counts at size {d} overflow int64")
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        # digits in word order: mu, [free run], deficiencies, run lengths
+        code, digits = key >> 1, []
+        for ax in reversed(axes):
+            code, digit = divmod(code, ax[-1])
+            digits.insert(0, digit)
+        ell_exp = digits[1] if params.has_exp else None
+        table.add((tb.types[code], tb.types[digits[0]],
+                   tuple(digits[1 + params.has_exp:]), ell_exp, bool(key & 1)),
+                  count)
     return table
 
 
-def _assemble_key(params: ModelParams, lam, prefix, roles):
-    mu = None
-    ell_I = [0] * params.m
-    ell_J = [0] * params.r
-    ell_exp = None
-    i_ct = 0
-    j_ct = 0
-    for role, val in zip(roles, prefix):
-        if role == "mu":
-            mu = partitions(sum(lam))[val] if isinstance(val, int) else val
-        elif role == "sigma":
-            ell_I[i_ct] = val
-            i_ct += 1
-        elif role == "run":
-            ell_J[j_ct] = val
-            j_ct += 1
-        elif role == "exp":
-            ell_exp = val
-    return (lam, mu, tuple(ell_I + ell_J), ell_exp)
+def _axes(tb: SymmetricGroupTables, params: ModelParams, run_max, exp_max):
+    """The free factors in word order, each as (perm indices, partition
+    indices, key values, weights, key radix)."""
+    perms = np.arange(tb.n)
+    ones = np.ones(tb.n, dtype=np.int64)
+
+    def compressed(dists):
+        # the nonzero (product, join) entries of every length, one array each
+        nz = [np.nonzero(dist) for dist in dists]
+        lengths = np.repeat(np.arange(len(dists)), [len(pi) for pi, _ in nz])
+        return (np.concatenate([pi for pi, _ in nz]),
+                np.concatenate([p for _, p in nz]), lengths,
+                np.concatenate([dist[i] for dist, i in zip(dists, nz)]))
+
+    axes = [(perms, tb.cpart, tb.type_idx, ones, len(tb.types))]
+    if params.has_exp:
+        axes.append((*compressed(_run_distributions(tb, exp_max, monotone=False)),
+                     exp_max + 1))
+    axes += [(perms, tb.cpart, tb.d - tb.ncycles, ones, tb.d)] * params.m
+    if params.r:
+        axes += [(*compressed(_run_distributions(tb, run_max)),
+                  run_max + 1)] * params.r
+    return axes
+
+
+def _cross(tb: SymmetricGroupTables, state, axis, ncodes, closing):
+    """One factor of the dynamic program: every state times every choice,
+    summed over equal keys.  A key is (W, join, code) in mixed radix, or
+    (lam, code, connected) when the factor closes the product."""
+    W, PJ, code, cnt = state
+    pis, parts, keyvals, weights, radix = axis
+    rows = max(1, _CHUNK // len(pis))
+    keys_acc, counts_acc = [], []
+    size = merged = 0
+    for s in range(0, len(W), rows):
+        # in-place arithmetic keeps one int64 block alive besides the counts
+        w = tb.mul[W[s:s + rows, None], pis]
+        pj = tb.join[PJ[s:s + rows, None], parts]
+        if closing:
+            conn = tb.join[pj, tb.cpart[w]] == tb.full_idx
+            keys = tb.type_idx[w].astype(np.int64)
+        else:
+            keys = w.astype(np.int64)
+            keys *= tb.nparts
+            keys += pj
+        del w, pj
+        keys *= ncodes
+        keys += code[s:s + rows, None] * radix
+        keys += keyvals
+        if closing:
+            keys *= 2
+            keys += conn
+        k, v = _sum_equal(keys.ravel(), (cnt[s:s + rows, None] * weights).ravel())
+        keys_acc.append(k)
+        counts_acc.append(v)
+        size += len(k)
+        if size > max(_CHUNK, 2 * merged):
+            k, v = _sum_equal(np.concatenate(keys_acc), np.concatenate(counts_acc))
+            keys_acc, counts_acc = [k], [v]
+            size = merged = len(k)
+    return _sum_equal(np.concatenate(keys_acc), np.concatenate(counts_acc))
+
+
+def _sum_equal(keys, counts):
+    """The distinct keys, sorted, and the exact sum of the counts of each."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts[order], starts)
+
+
+def enumeration_total(d: int, params: ModelParams, bounds: EllBounds) -> int:
+    """Exact number of tuples that `enumerate_factorisations` counts at size
+    d: the product of the per-factor totals, d! for each permutation,
+    sum_l C(d,2)^l for the free run and sum_l h_l(0..d-1) (the number of
+    monotone runs of length l) for each monotone run."""
+    total = factorial(d) ** (1 + params.m)
+    if params.has_exp and bounds.exp_run_max is not None:
+        q, top = d * (d - 1) // 2, bounds.exp_run_max + 1
+        total *= top if q == 1 else (q ** top - 1) // (q - 1)
+    if params.r:
+        h = [1] + [0] * bounds.run_max      # h_l of the contents seen so far
+        for c in range(1, d):
+            for ln in range(1, bounds.run_max + 1):
+                h[ln] += c * h[ln - 1]
+        total *= sum(h) ** params.r
+    return total
 
 
 def build_table(params: ModelParams, d_max: int, bounds: EllBounds) -> HurwitzTable:

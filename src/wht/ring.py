@@ -552,10 +552,6 @@ class ZLaurent:
     def const(order: int, c) -> "ZLaurent":
         return ZLaurent(order, {0: TSeries.const(order, c)})
 
-    @staticmethod
-    def z_power(order: int, e: int, c=1) -> "ZLaurent":
-        return ZLaurent(order, {e: TSeries.const(order, c)})
-
     def window(self):
         if not self.coeffs:
             return None

@@ -230,8 +230,14 @@ def tr_acceptance_model() -> ModelParams:
 
 
 def tr_oracle_depth(params: ModelParams, d_max: int) -> int:
-    """Largest enumeration size the recursion is checked against: sizes past
-    6 (past 4 with runs or an exponential weight) take minutes to enumerate."""
+    """Largest enumeration size the recursion is checked against: 6, or 4
+    with runs or an exponential weight.
+
+    With runs up to length 2d, one size more costs, on a 2-core machine:
+    (1,0) at d = 7 2.3 s and 86 MB, (2,1) at d = 5 2.6 s, (1,1) at d = 5
+    0.4 s, (1,1) at d = 6 33 s and 101 MB, and an exponential (1,0) at
+    d = 6 8.9 s.  Raising a depth changes `verify.json` and the cost of
+    `wht tr` and `wht verify`, so it is a change of its own."""
     return min(d_max, 6 if params.r == 0 and not params.has_exp else 4)
 
 

@@ -48,6 +48,7 @@ def test_config_rejects_unknown_task(tmp_path):
     ("model", "scalar_mode", "numeric", "model.scalar_mode"),
     ("toprec", "t_value", [0.9, 0.0], "toprec.t_value"),
     ("toprec", "depth_margin", -6, "toprec.depth_margin"),
+    ("oracle", "d_max", 8, "oracle.d_max"),
 ])
 def test_inexact_or_out_of_range_config_exits_2(tmp_path, capsys, section,
                                                  key, value, named):
@@ -57,6 +58,24 @@ def test_inexact_or_out_of_range_config_exits_2(tmp_path, capsys, section,
     path = write_cfg(tmp_path, data)
     assert cli.main(["tr", "--config", path]) == cli.EXIT_CONFIG
     assert named in capsys.readouterr().err
+
+
+def test_enumeration_limits_at_load(tmp_path, capsys):
+    # S_8 tables are never built: the estimate alone rejects d_max = 8
+    data = json.loads(json.dumps(BASE_CFG))
+    data["oracle"]["d_max"] = 8
+    with pytest.raises(ConfigError, match="6.5 GB"):
+        load_config(write_cfg(tmp_path, data))
+    data["oracle"]["d_max"] = 7
+    assert load_config(write_cfg(tmp_path, data)).d_max == 7
+    # counts that could pass 2^63 in int64 exit 2 before anything runs
+    data["oracle"].update(d_max=3, exp_run_max=40)
+    data["model"]["u_exp"] = "1/4"
+    data["output"]["dir"] = str(tmp_path / "out")
+    path = write_cfg(tmp_path, data)
+    assert cli.main(["table", "--config", path]) == cli.EXIT_CONFIG
+    assert "oracle.exp_run_max" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "table.json").exists()
 
 
 def test_config_accepts_echoed_exact_mode(tmp_path):

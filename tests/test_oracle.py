@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from wht.model import EllBounds, ModelParams
 from wht.oracle import (
     build_table, character_value, class_size, enumerate_factorisations,
-    hook_lengths, hurwitz_character_table, monotone_runs, partitions,
-    tau_from_table, tau_schur, wgn_oracle,
+    enumeration_total, hook_lengths, hurwitz_character_table, monotone_runs,
+    partitions, tau_from_table, tau_schur, wgn_oracle,
 )
 from wht.ring import MPoly, RingUsageError
 
@@ -125,6 +126,19 @@ def test_genus_integrality_nonnegative():
     for key, _ in tab.entries(connected=True):
         assert tab.genus_numerator(key) % 2 == 0
         assert tab.genus(key) >= 0
+
+
+def test_counts_exact_near_int64_and_overflow_raises():
+    # (1,0) with the exponential weight at d = 3 counts 36 sum_l 3^l tuples;
+    # at free-run length 38 the largest single count passes 2^62
+    params = ModelParams.make(1, 0, u=[F(1, 2)], p=[F(1)], q=[F(1)], T=3,
+                              u_exp=F(1, 5))
+    tab = enumerate_factorisations(3, params, EllBounds(exp_run_max=38))
+    assert min(tab.counts.values()) > 0
+    assert max(tab.counts.values()) > 2 ** 62
+    assert sum(tab.counts.values()) == 36 * sum(3 ** ln for ln in range(39))
+    with pytest.raises(RingUsageError, match="overflow"):
+        enumerate_factorisations(3, params, EllBounds(exp_run_max=40))
 
 
 def test_total_count_equals_free_tuples():
@@ -302,21 +316,84 @@ def test_fact_tuple_validation():
 
 
 def test_explicit_tuples_match_compressed_enumeration():
+    # every concordance shape at d <= 3, plus exponential models with and
+    # without runs: brute-force tuples against the dynamic program
     from wht.oracle import iter_fact_tuples
-    for (m, r, d, cap, exp, ecap) in [
-            (1, 0, 3, 0, None, None), (1, 1, 2, 4, None, None),
-            (0, 1, 3, 3, None, None), (1, 0, 2, F(1), F(1), 3)]:
+    from wht.verify import CONCORDANCE_MODELS
+    cases = [(m, r, d, 2 if r else 0, None, None)
+             for (m, r) in CONCORDANCE_MODELS for d in (1, 2, 3)]
+    cases += [(1, 1, 2, 4, None, None), (0, 1, 3, 3, None, None),
+              (1, 0, 2, 0, F(1), 3), (1, 1, 3, 2, F(1), 2),
+              (0, 1, 3, 2, F(1), 2)]
+    for (m, r, d, cap, exp, ecap) in cases:
         u = [F(1, 2) + i for i in range(m)] + [F(-1, 3)] * r
         params = ModelParams.make(m, r, u=u, p=[F(1)], q=[F(1)], T=d,
                                   u_exp=exp)
-        bounds = EllBounds(run_max=cap if isinstance(cap, int) else 0,
-                           exp_run_max=ecap)
+        bounds = EllBounds(run_max=cap, exp_run_max=ecap)
         ref = {}
         for ft in iter_fact_tuples(d, params, bounds):
             k = ft.key()
             ref[k] = ref.get(k, 0) + 1
         tab = enumerate_factorisations(d, params, bounds)
-        assert dict(tab.counts) == ref, (m, r, d)
+        assert dict(tab.counts) == ref, (m, r, d, exp)
+        assert sum(ref.values()) == enumeration_total(d, params, bounds)
+
+
+# --- symmetric group tables ---------------------------------------------------
+
+def _union_find(d, pairs):
+    """Restricted growth string of the partition of range(d) that the pairs
+    generate."""
+    parent = list(range(d))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    roots = {}
+    return tuple(roots.setdefault(find(x), len(roots)) for x in range(d))
+
+
+def _same_block(p):
+    return [(x, y) for x in range(len(p)) for y in range(x) if p[x] == p[y]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_group_tables_obey_group_and_lattice_laws(d):
+    import random
+    from wht.oracle import SymmetricGroupTables, cycle_type
+    tb = SymmetricGroupTables(d)
+    n, ident = tb.n, tb.id_idx
+    assert tb.perms == sorted(tb.perms) and len(tb.perms) == n
+    everyone = np.arange(n)
+    assert (tb.mul[ident] == everyone).all() and (tb.mul[:, ident] == everyone).all()
+    assert (tb.mul[everyone, tb.inv] == ident).all()
+    assert (tb.mul[tb.inv, everyone] == ident).all()
+    rng = random.Random(d)
+    for _ in range(300):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        assert tb.mul[tb.mul[a, b], c] == tb.mul[a, tb.mul[b, c]]
+        pa, pb = tb.perms[a], tb.perms[b]
+        assert tb.perms[tb.mul[a, b]] == tuple(pa[pb[k]] for k in range(d))
+    parts = tb.partitions_rgs
+    for i, p in enumerate(tb.perms):
+        assert tb.types[tb.type_idx[i]] == cycle_type(p)
+        assert tb.ncycles[i] == len(cycle_type(p))
+        assert parts[tb.cpart[i]] == _union_find(d, enumerate(p))
+    assert (tb.join == tb.join.T).all()
+    assert (np.diag(tb.join) == np.arange(tb.nparts)).all()
+    assert (tb.join[:, tb.discrete_idx] == np.arange(tb.nparts)).all()
+    assert (tb.join[:, tb.full_idx] == tb.full_idx).all()
+    for a, pa in enumerate(parts):
+        for b, pb in enumerate(parts):
+            assert parts[tb.join[a, b]] == _union_find(
+                d, _same_block(pa) + _same_block(pb))
+    for t, pidx, j, i in tb.transpositions:
+        assert tb.perms[t] == tuple({j: i, i: j}.get(k, k) for k in range(d))
+        assert parts[pidx] == _union_find(d, [(j, i)])
 
 
 # --- export -------------------------------------------------------------------
