@@ -18,7 +18,7 @@ from .config import ConfigError, RunConfig, dump_config, load_config
 from .model import AssumptionViolation, EllBounds
 from .oracle import build_table, wgn_oracle
 from .spectral import (
-    compute_Z, formal_branchpoints, solve_system, spectral_export,
+    SpectralData, compute_Z, formal_branchpoints, solve_system, spectral_export,
 )
 from .toprec import compare_oracle, instantiate_curve, tr_compute
 from .verify import run_suites, tr_oracle_depth, tr_sample_points
@@ -85,15 +85,15 @@ def cmd_curve(cfg: RunConfig, out: str) -> int:
             for i, a in enumerate(bp.initial):
                 b = bp.value_at(i, t)
                 wr.writerow([i, a.real, a.imag, b.real, b.imag])
-        _write_xy_slice(cfg, out)
+        _write_xy_slice(sd, cfg, out)
     print(f"curve: exported -> {out}")
     return EXIT_OK
 
 
-def _write_xy_slice(cfg: RunConfig, out: str):
+def _write_xy_slice(sd: SpectralData, cfg: RunConfig, out: str):
     """Plot data: (z, X, Y) along a real-z slice; coordinates only."""
     try:
-        curve = instantiate_curve(solve_system(cfg.model), cfg.toprec_t)
+        curve = instantiate_curve(sd, cfg.toprec_t)
     except AssumptionViolation:
         return
     scale = min(abs(b) for b in curve.branchpoints)

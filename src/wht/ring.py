@@ -283,31 +283,6 @@ def mpoly_divided_difference(p: MPoly, name: str, name1: str, name2: str) -> MPo
     return out
 
 
-def mpoly_div_linear(p: MPoly, v1: str, v2: str) -> MPoly:
-    """Exact division of p by (v1 - v2); raises if the remainder is nonzero."""
-    if p.is_zero():
-        return MPoly()
-    deg = p.degree(v1)
-    if p.min_degree(v1) < 0:
-        raise RingDomainError("division by (v1 - v2) needs nonnegative v1-exponents")
-    coeffs = [p.coefficient_of(v1, k) for k in range(deg + 1)]
-    # synthetic division at v1 = v2, from the top degree down
-    quot = [MPoly() for _ in range(deg)]
-    carry = MPoly()
-    y = MPoly.var(v2)
-    for k in range(deg, 0, -1):
-        carry = coeffs[k] + carry
-        quot[k - 1] = carry
-        carry = carry * y
-    rem = coeffs[0] + carry
-    if not rem.is_zero():
-        raise RingDomainError("nonzero remainder in exact linear division")
-    out = MPoly()
-    for k, q in enumerate(quot):
-        out = out + (q * MPoly.var(v1, k) if k else q)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # truncated power series in t
 
@@ -452,6 +427,24 @@ class TSeries:
                 break
             acc = acc + power.scale(Fraction(1, factorial(k)))
         return acc
+
+    def log(self) -> "TSeries":
+        """log of a series with constant term 1.  The coefficients
+        M_k = k L_k of t dL/dt solve t da/dt = a * (t dL/dt) order by order:
+        M_k = k a_k - sum_{0<j<k} M_j a_(k-j)."""
+        if self.coeffs[0] != 1:
+            raise RingDomainError("log needs constant term 1")
+        a = self.coeffs
+        M = [0] * (self.order + 1)
+        for k in range(1, self.order + 1):
+            s = a[k] * k
+            for j in range(1, k):
+                if is_zero(M[j]) or is_zero(a[k - j]):
+                    continue
+                s = s - M[j] * a[k - j]
+            M[k] = s
+        return TSeries(self.order, [0] + [
+            M[k] * Fraction(1, k) for k in range(1, self.order + 1)])
 
     def tshift(self, s: int) -> "TSeries":
         """Multiply by t^s (coefficients beyond T are dropped)."""

@@ -1,12 +1,23 @@
-"""Order-by-order solution of the coupled Laurent-polynomial system defining
-the spectral curve, the disk and cylinder series, and ramification data.
+"""Exact solution of the coupled Laurent-polynomial system defining the
+spectral curve, the disk and cylinder series, and ramification data.
 
 The unknowns are, per color c, a polynomial A(z) (window [0, D2]) and a
 series B(z) in 1/z (window [-D1, 0], constant term 1), coupled through
 projection equations; the rational-exponential extension adds a pair
-(eta, theta).  A fixed-point sweep gains one exact t-order per pass because
-every right-hand side reads strictly lower orders (for A, eta) or at most
-the current order of already-updated blocks (for B, theta).
+(eta, theta).  What runs at which truncation order:
+
+* the system: one sweep at each order k = 0..T, each on the blocks of the
+  sweep before, padded by a zero t^k coefficient.  The A and eta sides read
+  strictly lower orders, the B and theta sides the fresh A and eta, so
+  sweep k is exact through order k.  A last sweep at T must reproduce the
+  solution (stationarity check).
+* Z: Lagrange inversion of Z = xb * Phi(Z) at order T, with the powers of
+  Phi on the z-window [0, T]; one evaluation of the right-hand side at Z
+  must give Z back.
+* the disk: the curve value at Z, whose nonpositive xb-powers must cancel.
+* the cylinder: xb1^2 xb2^2 d1 d2 log R of the divided difference R of Z,
+  with no division.  Its independent checks are the annular path route and
+  the enumeration and character oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from .dense import horner, s_inv, s_mul
 from .model import AssumptionViolation, ModelParams
 from .ring import (
     MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError,
-    divided_difference, is_zero, mpoly_div_linear, scalar_invert,
+    divided_difference, is_zero, scalar_invert,
 )
 
 __all__ = [
@@ -151,15 +162,23 @@ def _system_rhs(colors, params: ModelParams, A, B, eta, theta, exp_weight):
 
 
 def _solve_colors(colors, params: ModelParams) -> SpectralData:
-    T = params.T
-    one = ZLaurent.const(T, 1)
+    """Sweep k runs at truncation order k, for k = 0..T, on the blocks of
+    sweep k - 1 padded by a zero t^k coefficient; it is exact through order
+    k.  One more sweep at T must reproduce the solution, or this raises."""
+    one = ZLaurent.const(0, 1)
     A = {c.label: one for c in colors}
     B = {c.label: one for c in colors}
     exp_weight = params.u_exp
-    eta = ZLaurent(T) if params.has_exp else None
-    theta = ZLaurent(T) if params.has_exp else None
-    for _ in range(T + 2):
-        A, B, eta, theta = _system_rhs(colors, params, A, B, eta, theta, exp_weight)
+    eta = ZLaurent(0) if params.has_exp else None
+    theta = ZLaurent(0) if params.has_exp else None
+    for k in range(params.T + 1):
+        if k:
+            A = {lbl: _pad(zl) for lbl, zl in A.items()}
+            B = {lbl: _pad(zl) for lbl, zl in B.items()}
+            if params.has_exp:
+                eta, theta = _pad(eta), _pad(theta)
+        A, B, eta, theta = _system_rhs(colors, replace(params, T=k), A, B,
+                                       eta, theta, exp_weight)
     # stationarity check: one more sweep must reproduce the solution exactly
     A2, B2, eta2, theta2 = _system_rhs(colors, params, A, B, eta, theta, exp_weight)
     for c in colors:
@@ -169,6 +188,12 @@ def _solve_colors(colors, params: ModelParams) -> SpectralData:
         raise RingDomainError("exp system sweep did not become stationary")
     return SpectralData(params=params, colors=tuple(colors), A=A, B=B,
                         eta=eta, theta=theta)
+
+
+def _pad(zl: ZLaurent) -> ZLaurent:
+    """The same block one truncation order higher, with a zero top coefficient."""
+    return ZLaurent(zl.order + 1, {e: TSeries(zl.order + 1, ts.coeffs + (0,))
+                                   for e, ts in zl.coeffs.items()})
 
 
 def solve_system(params: ModelParams) -> SpectralData:
@@ -208,17 +233,33 @@ def solve_bulk_approximation(params: ModelParams, N: int) -> SpectralData:
 
 
 def compute_Z(sd: SpectralData) -> TSeries:
-    """The substitution series: Z = xb * exp-factor * prod A(Z) ratios, with
-    Z = xb + O(t); fixed point gains one t-order per pass."""
+    """The substitution series Z = xb * Phi(Z), with Z = xb + O(t), by
+    Lagrange inversion: [xb^n] Z = (1/n) [z^(n-1)] Phi(z)^n, where
+    Phi = prod A^(side * mult) * exp(u_exp * eta) is a Laurent block on the
+    window [0, T] (its z^k coefficient is O(t^k)), so n runs to T + 1.  One
+    evaluation of the right-hand side at Z must reproduce Z, or this raises."""
     if sd._Z is not None:
         return sd._Z
     T = sd.T
+    phi = ZLaurent.const(T, 1)
+    for c in sd.colors:
+        f = sd.A[c.label] if c.side > 0 else sd.A[c.label].invert(0, T)
+        phi = phi.mul(f.power(c.mult, 0, T), 0, T)
+    if sd.params.has_exp:
+        phi = phi.mul(sd.eta.scale(sd.params.u_exp).exp(0, T), 0, T)
+    coeffs = [MPoly() for _ in range(T + 1)]
+    phi_n = phi
+    for n in range(1, T + 2):
+        if n > 1:
+            phi_n = phi_n.mul(phi, 0, T)
+        zn = MPoly.var("xb", n)
+        for j, c in enumerate(phi_n.get(n - 1).scale(Fraction(1, n)).coeffs):
+            if not is_zero(c):
+                coeffs[j] = coeffs[j] + zn * c
+    Z = TSeries(T, coeffs)
     xb = TSeries.const(T, MPoly.var("xb"))
-    Z = xb
-    for _ in range(T + 1):
-        Z = _z_rhs(sd, Z, xb)
     if not _ts_eq(Z, _z_rhs(sd, Z, xb)):
-        raise RingDomainError("Z fixed point did not stabilise")
+        raise RingDomainError("Z is not a fixed point of its defining equation")
     sd._Z = Z
     return Z
 
@@ -345,25 +386,18 @@ def _h_at_Z(H: ZLaurent, Z: TSeries) -> TSeries:
 
 
 def w02(sd: SpectralData) -> TSeries:
-    """Cylinder series in (xb1, xb2); the diagonal double pole cancels exactly
-    and the division below is exact polynomial division."""
-    Z = compute_Z(sd)
-    dZ = Z.map_coeffs(lambda c: c.diff("xb") if isinstance(c, MPoly) else 0)
-    d1 = dZ.map_coeffs(lambda c: c.rename({"xb": "xb1"}) if isinstance(c, MPoly) else c)
-    d2 = dZ.map_coeffs(lambda c: c.rename({"xb": "xb2"}) if isinstance(c, MPoly) else c)
-    R = divided_difference(Z)
-    Rinv = R.invert()
-    N = d1 * d2 * Rinv * Rinv - TSeries.const(sd.T, 1)
-    if isinstance(N.coeffs[0], MPoly):
-        if not N.coeffs[0].is_zero():
-            raise RingDomainError("cylinder series has a nonzero order-0 part")
-    elif not is_zero(N.coeffs[0]):
-        raise RingDomainError("cylinder series has a nonzero order-0 part")
-    quot = N.map_coeffs(lambda c: mpoly_div_linear(
-        mpoly_div_linear(c if isinstance(c, MPoly) else MPoly.const(c),
-                         "xb1", "xb2"), "xb1", "xb2"))
+    """Cylinder series in (xb1, xb2): xb1^2 xb2^2 d1 d2 log R, where
+    R = (Z(xb1) - Z(xb2)) / (xb1 - xb2) = 1 + O(t) has polynomial
+    coefficients, and so has log R.  This equals
+    xb1^2 xb2^2 (Z'(xb1) Z'(xb2) / (Z(xb1) - Z(xb2))^2 - 1 / (xb1 - xb2)^2)
+    with no division by xb1 - xb2."""
+    logR = divided_difference(compute_Z(sd)).log()
     pref = MPoly.var("xb1", 2) * MPoly.var("xb2", 2)
-    return quot.map_coeffs(lambda c: c * pref)
+    out = []
+    for c in logR.coeffs:
+        c = c if isinstance(c, MPoly) else MPoly.const(c)
+        out.append(c.diff("xb1").diff("xb2") * pref)
+    return TSeries(sd.T, out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wht.ring import (
     MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError,
-    divided_difference, mpoly_div_linear, series_compose,
+    divided_difference, series_compose,
 )
 
 
@@ -205,14 +205,6 @@ def test_divided_difference_requires_shape():
         divided_difference(mk_z([MPoly.const(1), MPoly()]))
 
 
-def test_mpoly_div_linear_exact():
-    p = (MPoly.var("xb1") - MPoly.var("xb2")) ** 2 * (MPoly.var("xb1") + 5)
-    q = mpoly_div_linear(p, "xb1", "xb2")
-    assert q * (MPoly.var("xb1") - MPoly.var("xb2")) == p
-    with pytest.raises(RingDomainError):
-        mpoly_div_linear(MPoly.var("xb1") + 1, "xb1", "xb2")
-
-
 # --- misc MPoly behaviour ----------------------------------------------------
 
 def test_mpoly_laurent_exponents():
@@ -230,3 +222,11 @@ def test_mpoly_diff_and_rename():
 def test_tseries_exp():
     e = TSeries(3, [0, 1, 0, 0]).exp()
     assert e == ts(1, 1, F(1, 2), F(1, 6))
+
+
+def test_tseries_log():
+    assert ts(1, 1, 0, 0).log() == ts(0, 1, F(-1, 2), F(1, 3))
+    f = TSeries(4, [0, MPoly.var("x"), F(2, 3), MPoly.var("x", 2, 5), F(-1, 7)])
+    assert f.exp().log() == f
+    with pytest.raises(RingDomainError):
+        ts(2, 1, 0).log()

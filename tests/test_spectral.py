@@ -1,15 +1,18 @@
+import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from wht.model import AssumptionViolation, EllBounds, ModelParams
 from wht.oracle import build_table, wgn_oracle
-from wht.ring import MPoly, TSeries, ZLaurent
+from wht.ring import MPoly, TSeries, ZLaurent, divided_difference
 from wht.spectral import (
     assemble_curve, compute_Z, critical_t, formal_branchpoints,
     initial_ramification, insertion_identity_sides, solve_bulk_approximation,
     solve_system, spectral_export, w01, w02,
 )
+from wht.verify import CONCORDANCE_MODELS, _concordance_params
 
 
 def series_zero(ts):
@@ -77,7 +80,68 @@ def test_model_rejects_inexact_weights(field, kwargs):
         ModelParams(**{**base, **kwargs})
 
 
+def truncated(zl, order):
+    return ZLaurent(order, {e: TSeries(order, ts.coeffs[:order + 1])
+                            for e, ts in zl.coeffs.items()})
+
+
+EXP_11 = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3), F(2, 5)],
+                          q=[F(2, 7), F(1, 5)], T=8, u_exp=F(1, 5))
+
+
+@pytest.mark.parametrize("params", [
+    _concordance_params(2, 1, 8), _concordance_params(1, 1, 8), EXP_11,
+], ids=["21", "11", "exp11"])
+def test_solution_truncates_to_the_lower_order_solution(params):
+    # the growing-truncation sweeps end on the unique solution at every order
+    hi, lo = solve_system(params), solve_system(replace(params, T=6))
+    for c in hi.colors:
+        assert truncated(hi.A[c.label], 6) == lo.A[c.label]
+        assert truncated(hi.B[c.label], 6) == lo.B[c.label]
+    if params.has_exp:
+        assert truncated(hi.eta, 6) == lo.eta
+        assert truncated(hi.theta, 6) == lo.theta
+
+
 # --- Z and the curve ------------------------------------------------------------
+
+def z_by_fixed_point(sd):
+    """Reference: T + 1 passes of Z <- xb * Phi(Z) from Z = xb."""
+    from wht.spectral import _z_rhs
+    xb = TSeries.const(sd.T, MPoly.var("xb"))
+    Z = xb
+    for _ in range(sd.T + 1):
+        Z = _z_rhs(sd, Z, xb)
+    return Z
+
+
+def al_scaled(params):
+    al = MPoly.var("al")
+    return replace(params, p=tuple(al * pk for pk in params.p))
+
+
+EXP_V = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)], q=[F(2, 7)],
+                         T=4, u_exp=MPoly.var("v"))
+
+
+@pytest.mark.parametrize("params", [
+    *(_concordance_params(m, r, 6) for (m, r) in CONCORDANCE_MODELS),
+    replace(EXP_11, T=5), EXP_V, al_scaled(GENERIC_11),
+], ids=[f"{m}{r}" for (m, r) in CONCORDANCE_MODELS] + ["exp", "exp-v", "al"])
+def test_Z_by_lagrange_inversion_equals_fixed_point(params):
+    sd = solve_system(params)
+    assert repr(compute_Z(sd)) == repr(z_by_fixed_point(sd))
+
+
+def test_Z_of_bulk_model_powers_the_multiplicity():
+    # one color of multiplicity 10**6: a loop over the multiplicity would not
+    # finish; binary powering takes about 20 products
+    t0 = time.perf_counter()
+    sd = solve_bulk_approximation(replace(EXP_11, T=4), 10 ** 6)
+    Z = compute_Z(sd)
+    assert time.perf_counter() - t0 < 2.0
+    assert repr(Z) == repr(z_by_fixed_point(sd))
+
 
 def test_Z_order_zero_and_simple_coefficient():
     # with p = 0, D1 = D2 = 1: Z = xb + u q t xb^2 + O(t^2)
@@ -153,6 +217,23 @@ def test_disk_t0_vanishes_and_no_nonnegative_powers():
     assert w.coeffs[0].is_zero()
     for c in w.coeffs:
         assert all(dict(m).get("xb", 0) >= 2 for m in c.terms)
+
+
+@pytest.mark.parametrize("params", [
+    GENERIC_11, _concordance_params(2, 1, 5), replace(EXP_11, T=4),
+], ids=["11", "21", "exp11"])
+def test_cylinder_is_the_divided_log_derivative(params):
+    # the defining form, checked by multiplication, with no division:
+    # w02 (xb1 - xb2)^2 = xb1^2 xb2^2 (Z'(xb1) Z'(xb2) / R^2 - 1)
+    sd = solve_system(params)
+    Z = compute_Z(sd)
+    dZ = Z.map_coeffs(lambda c: c.diff("xb"))
+    Rinv = divided_difference(Z).invert()
+    rhs = (rename_series(dZ, {"xb": "xb1"}) * rename_series(dZ, {"xb": "xb2"})
+           * Rinv * Rinv - TSeries.const(sd.T, 1))
+    rhs = rhs.scale(MPoly.var("xb1", 2) * MPoly.var("xb2", 2))
+    lin = MPoly.var("xb1") - MPoly.var("xb2")
+    assert series_zero(w02(sd).scale(lin * lin) - rhs)
 
 
 def test_cylinder_symmetry():
