@@ -2,16 +2,27 @@
 and sparse multivariate Laurent polynomials in marking variables.
 
 Scalars are exact rationals (``int`` or ``fractions.Fraction``; arithmetic
-never rounds), or MPoly over them for the deformation variables.  Complex
-numbers enter only as evaluation points (``MPoly.eval``, ``TSeries.eval_t``).
-All containers are immutable after construction and every operation is a pure
-function, so independent computations can safely run in parallel.
+never rounds), or MPoly over them for the deformation variables.  MPoly terms
+are always ``int`` or ``Fraction``: its product raises ``RingUsageError`` on
+anything else.  Complex numbers enter only as evaluation points
+(``MPoly.eval``, ``TSeries.eval_t``).  All containers are immutable after
+construction and every operation is a pure function, so independent
+computations can safely run in parallel.
+
+The two product kernels, ``TSeries.__mul__`` on rational coefficients and
+``MPoly.__mul__``, bring each operand to integer numerators over one common
+denominator (``_common``), accumulate integer products, and build one
+``Fraction`` per output coefficient instead of one per term product.  An
+output is an ``int`` when neither operand holds a ``Fraction``, and an exact
+zero is the int 0.  A series with MPoly coefficients multiplies coefficient
+by coefficient, through the MPoly kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 
 class RingUsageError(Exception):
@@ -42,6 +53,35 @@ def scalar_invert(c):
     return _inv_number(c)
 
 
+def _common(cs):
+    """(integer numerators, common denominator D, any Fraction) for a sequence
+    of int/Fraction scalars, so that c == numerator / D; None if any coefficient
+    is something else (an MPoly, a complex evaluation point)."""
+    D = 1
+    frac = False
+    for c in cs:
+        t = type(c)
+        if t is Fraction:
+            frac = True
+            d = c.denominator
+            if D % d:
+                D = lcm(D, d)
+        elif t is not int:
+            return None
+    if not frac:
+        return cs, 1, False
+    return [c.numerator * (D // c.denominator) if type(c) is Fraction else c * D
+            for c in cs], D, True
+
+
+def _rational(n: int, D: int, frac: bool):
+    """n / D as the product kernels return it: int when no operand held a
+    Fraction, else a Fraction; an exact zero is the int 0."""
+    if not frac or not n:
+        return n
+    return Fraction(n, D)
+
+
 def _inv_number(c):
     if c == 0:
         raise RingDomainError("division by zero scalar")
@@ -61,6 +101,13 @@ def _inv_number(c):
 
 
 def _mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    if len(m1) == 1 and len(m2) == 1 and m1[0][0] == m2[0][0]:
+        e = m1[0][1] + m2[0][1]
+        return ((m1[0][0], e),) if e else ()
     d = dict(m1)
     for name, e in m2:
         e2 = d.get(name, 0) + e
@@ -108,9 +155,6 @@ class MPoly:
             return self.terms[()]
         return None
 
-    def constant_term(self):
-        return self.terms.get((), 0)
-
     def __add__(self, other):
         other = MPoly._coerce(other)
         out = dict(self.terms)
@@ -135,16 +179,27 @@ class MPoly:
 
     def __mul__(self, other):
         other = MPoly._coerce(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        ra = _common(self.terms.values())
+        rb = _common(other.terms.values())
+        if ra is None or rb is None:
+            bad = next(c for c in (*self.terms.values(), *other.terms.values())
+                       if type(c) not in (int, Fraction))
+            raise RingUsageError(
+                f"MPoly terms must be int or Fraction, not {type(bad).__name__}")
+        (na, Da, fa), (nb, Db, fb) = ra, rb
+        acc: dict = {}
+        for m1, n1 in zip(self.terms, na):
+            for m2, n2 in zip(other.terms, nb):
                 m = _mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if is_zero(s):
-                    out.pop(m, None)
+                s = acc.get(m, 0) + n1 * n2
+                # a monomial whose sum cancels leaves the dict and re-enters
+                # at the end, so term order is that of a term-by-term sum
+                if s:
+                    acc[m] = s
                 else:
-                    out[m] = s
-        return MPoly(out)
+                    acc.pop(m, None)
+        D, frac = Da * Db, fa or fb
+        return MPoly({m: _rational(n, D, frac) for m, n in acc.items()})
 
     __rmul__ = __mul__
 
@@ -165,26 +220,6 @@ class MPoly:
 
     def __hash__(self):
         raise TypeError("MPoly is unhashable")
-
-    def degree(self, name: str) -> int:
-        """Highest exponent of `name`; 0 if absent from every term."""
-        best = 0
-        for m in self.terms:
-            for n, e in m:
-                if n == name and e > best:
-                    best = e
-        return best
-
-    def min_degree(self, name: str) -> int:
-        best = 0
-        for m in self.terms:
-            e0 = 0
-            for n, e in m:
-                if n == name:
-                    e0 = e
-            if e0 < best:
-                best = e0
-        return best
 
     def coefficient_of(self, name: str, exp: int) -> "MPoly":
         """Coefficient of name**exp, with that variable stripped out."""
@@ -358,6 +393,13 @@ class TSeries:
             return self.scale(other)
         self._check(other)
         T = self.order
+        ra = _common(self.coeffs)
+        rb = _common(other.coeffs) if ra is not None else None
+        if rb is not None:
+            (na, Da, fa), (nb, Db, fb) = ra, rb
+            D, frac = Da * Db, fa or fb
+            return TSeries(T, [_rational(sum(map(mul, na[:k + 1], nb[k::-1])), D, frac)
+                               for k in range(T + 1)])
         out = [0] * (T + 1)
         for i, a in enumerate(self.coeffs):
             if is_zero(a):
@@ -471,37 +513,6 @@ class TSeries:
 
     def __repr__(self):
         return "TSeries[" + ", ".join(repr(c) for c in self.coeffs) + "]"
-
-
-def series_compose(f: TSeries, aux: str, g: TSeries) -> TSeries:
-    """Substitute g for the variable `aux` in f.
-
-    f's coefficients are polynomials in `aux` (nonnegative exponents); the
-    substitution must not produce a constant: g needs zero constant scalar term.
-    """
-    f._check(g)
-    c0 = g.coeffs[0]
-    const = c0.constant_term() if isinstance(c0, MPoly) else c0
-    if not is_zero(const):
-        raise RingDomainError("composition target has nonzero constant term")
-    K = 0
-    for c in f.coeffs:
-        if isinstance(c, MPoly):
-            if c.min_degree(aux) < 0:
-                raise RingDomainError("series_compose needs nonnegative aux exponents")
-            K = max(K, c.degree(aux))
-    # split f by aux-degree, then Horner in g
-    layers = []
-    for k in range(K + 1):
-        layer = TSeries(f.order, [
-            c.coefficient_of(aux, k) if isinstance(c, MPoly)
-            else (MPoly.const(c) if k == 0 else MPoly())
-            for c in f.coeffs])
-        layers.append(layer)
-    acc = layers[K]
-    for k in range(K - 1, -1, -1):
-        acc = acc * g + layers[k]
-    return acc
 
 
 def divided_difference(Z: TSeries, var: str = "xb", var1: str = "xb1",

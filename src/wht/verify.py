@@ -53,6 +53,7 @@ def _rename(ts, mapping):
 CONCORDANCE_MODELS = ((1, 0), (2, 0), (3, 0), (1, 1), (0, 1), (2, 1))
 
 _TABLES: dict = {}
+_SYSTEMS: dict = {}
 
 
 def _concordance_params(m, r, d):
@@ -82,6 +83,16 @@ def _cached_table(m, r):
     return _TABLES[key]
 
 
+def _cached_system(m, r):
+    """The solved concordance model at its verify depth, shared by the disk
+    and cylinder suites together with its memoised Z."""
+    d = _model_depth(m, r)
+    key = (m, r, d)
+    if key not in _SYSTEMS:
+        _SYSTEMS[key] = solve_system(_concordance_params(m, r, d))
+    return _SYSTEMS[key]
+
+
 def suite_oracle_vs_schur(cfg=None) -> CheckResult:
     """Enumerated counts against the character expansion, term by term in the
     weight parameters, for the six model shapes."""
@@ -108,8 +119,8 @@ def suite_disk(cfg=None, oracle_params: ModelParams | None = None) -> CheckResul
     details = {}
     for (m, r) in CONCORDANCE_MODELS:
         d = _model_depth(m, r)
-        params = _concordance_params(m, r, d)
-        sd = solve_system(params)
+        sd = _cached_system(m, r)
+        params = sd.params
         if oracle_params is not None:
             tab = build_table(oracle_params, d,
                               EllBounds(run_max=_run_cap(r, d)))
@@ -141,8 +152,8 @@ def suite_cylinder(cfg=None) -> CheckResult:
     details = {}
     for (m, r) in CONCORDANCE_MODELS:
         d = _model_depth(m, r)
-        params = _concordance_params(m, r, d)
-        sd = solve_system(params)
+        sd = _cached_system(m, r)
+        params = sd.params
         tab = _cached_table(m, r)
         ws = w02(sd)
         ok = _series_zero(ws - wgn_oracle(tab, params, 0, 2))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wht.ring import (
     MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError,
-    divided_difference, series_compose,
+    divided_difference, _common, _mono_mul,
 )
 
 
@@ -85,37 +85,135 @@ def test_ring_axioms(ca, cb, cc):
     assert a * b == b * a
 
 
-# --- series_compose ----------------------------------------------------------
+# --- integer kernels: one common denominator per operand -----------------------
+# References are the term-by-term products the kernels replace.
 
-def test_compose_polynomial_at_t():
-    w = MPoly.var("w")
-    f = TSeries(2, [MPoly.const(1) + w + w * w, MPoly(), MPoly()])
-    g = TSeries(2, [0, 1, 0])
-    assert series_compose(f, "w", g) == ts(1, 1, 1)
-
-
-def test_compose_identity():
-    w = MPoly.var("w")
-    f = TSeries(1, [w, MPoly()])
-    g = TSeries(1, [xb, xb * xb])
-    assert series_compose(f, "w", g) == g
+def naive_series_mul(a, b):
+    T = a.order
+    out = [F(0)] * (T + 1)
+    for i in range(T + 1):
+        for j in range(T + 1 - i):
+            out[i + j] += F(a.coeffs[i]) * F(b.coeffs[j])
+    return out
 
 
-def test_compose_square():
-    w = MPoly.var("w")
-    f = TSeries(1, [w * w, MPoly()])
-    g = TSeries(1, [xb, xb * xb])
-    out = series_compose(f, "w", g)
-    # (xb + t*xb^2)^2 truncated at t: xb^2 + 2 t xb^3
-    assert out.coeffs[0] == xb * xb
-    assert out.coeffs[1] == 2 * MPoly.var("xb", 3)
+def naive_mpoly_mul(p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            e = dict(m1)
+            for name, k in m2:
+                e[name] = e.get(name, 0) + k
+            m = tuple(sorted((n, k) for n, k in e.items() if k))
+            out[m] = out.get(m, 0) + F(c1) * F(c2)
+    return {m: c for m, c in out.items() if c}
 
 
-def test_compose_rejects_constant_target():
-    w = MPoly.var("w")
-    f = TSeries(1, [w, MPoly()])
-    with pytest.raises(RingDomainError):
-        series_compose(f, "w", ts(1, 0))
+ints = st.integers(-10 ** 6, 10 ** 6)
+rationals = st.one_of(
+    ints, st.just(0),
+    st.builds(F, ints, st.integers(1, 10 ** 9)),
+    st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 7, 10 ** 9])))
+
+
+@st.composite
+def rational_series(draw, order):
+    return TSeries(order, draw(st.lists(rationals, min_size=order + 1,
+                                        max_size=order + 1)))
+
+
+def check_series_product(a, b):
+    out = a * b
+    assert list(out.coeffs) == naive_series_mul(a, b)
+    for c in out.coeffs:
+        assert type(c) in (int, F)
+        if c == 0:
+            assert type(c) is int
+    if all(type(c) is int for c in a.coeffs + b.coeffs):
+        assert all(type(c) is int for c in out.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda T: st.tuples(rational_series(T), rational_series(T))))
+def test_series_product_equals_fraction_convolution(ab):
+    check_series_product(*ab)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda T: st.tuples(
+    *(st.lists(ints, min_size=T + 1, max_size=T + 1) for _ in range(2)))))
+def test_series_product_of_integer_series_stays_integer(ab):
+    a, b = (TSeries(len(cs) - 1, cs) for cs in ab)
+    check_series_product(a, b)
+
+
+def test_series_product_cancels_to_integer_zero():
+    a = ts(F(1, 3), F(2, 5), 0)
+    b = ts(F(6, 5), F(-36, 25), F(10 ** 9 + 7, 10 ** 9))
+    out = a * b
+    assert out.coeffs[1] == 0 and type(out.coeffs[1]) is int
+    assert out.coeffs[0] == F(2, 5)
+    check_series_product(a, b)
+
+
+def test_common_denominator():
+    nums, D, frac = _common([F(1, 6), 2, F(-3, 4), 0])
+    assert (list(nums), D, frac) == ([2, 24, -9, 0], 12, True)
+    assert _common((3, -1)) == ((3, -1), 1, False)
+    assert _common([F(1, 2), MPoly.var("x")]) is None
+    assert _common([1, 1j]) is None
+
+
+monomials = st.lists(st.tuples(st.sampled_from(["x", "y", "z"]),
+                               st.integers(-3, 3).filter(bool)),
+                     max_size=3, unique_by=lambda ne: ne[0]).map(
+    lambda ms: tuple(sorted(ms)))
+mpolys = st.dictionaries(monomials, rationals.filter(bool), max_size=5).map(MPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mpolys, mpolys)
+def test_mpoly_product_equals_term_by_term(p, q):
+    out = p * q
+    assert out.terms == naive_mpoly_mul(p, q)
+    assert all(c != 0 and type(c) in (int, F) for c in out.terms.values())
+
+
+def test_mpoly_product_drops_a_cancelled_term():
+    x, y = MPoly.var("x"), MPoly.var("y", -1, F(1, 3))
+    out = (x + y) * (x - y)
+    assert set(out.terms) == {(("x", 2),), (("y", -2),)}
+    assert out == MPoly.var("x", 2) - MPoly.var("y", -2, F(1, 9))
+
+
+def test_mpoly_series_coefficient_cancels():
+    x = MPoly.var("x", 1, F(1, 2))
+    a = TSeries(1, [x, x])
+    b = TSeries(1, [x, -x])
+    assert (a * b).coeffs[1].is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomials, monomials)
+def test_mono_mul_early_returns_equal_general_route(m1, m2):
+    d = dict(m1)
+    for name, e in m2:
+        d[name] = d.get(name, 0) + e
+    assert _mono_mul(m1, m2) == tuple(sorted((n, e) for n, e in d.items() if e))
+
+
+def test_mono_mul_same_variable_powers():
+    assert _mono_mul((("xb", 2),), (("xb", 3),)) == (("xb", 5),)
+    assert _mono_mul((("xb", 2),), (("xb", -2),)) == ()
+    assert _mono_mul((), (("v", 1),)) == (("v", 1),)
+
+
+def test_mpoly_product_rejects_a_complex_term():
+    with pytest.raises(RingUsageError, match="complex"):
+        MPoly.var("x") * MPoly.const(1j)
+    with pytest.raises(RingUsageError, match="complex"):
+        MPoly({(("x", 1),): 0.5j}) * MPoly.var("y")
 
 
 # --- laurent projections -----------------------------------------------------
@@ -216,7 +314,8 @@ def test_mpoly_laurent_exponents():
 def test_mpoly_diff_and_rename():
     p = MPoly.var("xb", 3, 2) + MPoly.var("al") * MPoly.var("xb")
     assert p.diff("xb") == MPoly.var("xb", 2, 6) + MPoly.var("al")
-    assert p.rename({"xb": "y"}).degree("y") == 3
+    assert p.rename({"xb": "y"}) == (MPoly.var("y", 3, 2)
+                                     + MPoly.var("al") * MPoly.var("y"))
 
 
 def test_tseries_exp():
