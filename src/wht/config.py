@@ -135,6 +135,10 @@ def _validate_ranges(cfg: RunConfig):
         raise ConfigError("run bounds must be nonnegative")
     if not (0 <= cfg.g_max <= 3 and 1 <= cfg.n_max <= 5):
         raise ConfigError("toprec.g_max in 0..3 and n_max in 1..5")
+    if 2 * cfg.g_max - 2 + cfg.n_max < 1:
+        raise ConfigError(
+            f"toprec.g_max = {cfg.g_max} and toprec.n_max = {cfg.n_max} leave "
+            f"no (g, n) with 2g - 2 + n >= 1 for the recursion")
     if cfg.tol <= 0:
         raise ConfigError("toprec.tol must be positive")
     if cfg.depth_margin < 0:

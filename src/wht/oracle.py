@@ -1090,7 +1090,7 @@ def wgn_via_characters(params: ModelParams, d_max: int, g: int,
 
 
 def wgn_oracle(table: HurwitzTable, params: ModelParams, g: int, n: int,
-               d_max: int | None = None, u_symbolic=False) -> TSeries:
+               d_max: int | None = None) -> TSeries:
     """Correlator series with n boundaries at genus g, from connected counts.
 
     Rooting replaces n face-weight factors (with multiplicity) by marked
@@ -1120,11 +1120,9 @@ def wgn_oracle(table: HurwitzTable, params: ModelParams, g: int, n: int,
             term = term * params.q[part - 1]
         for c, e in enumerate(ell):
             if e:
-                term = term * ((MPoly.var(f"u{c}") ** e) if u_symbolic
-                               else params.u[c] ** e)
+                term = term * params.u[c] ** e
         if ell_exp:
-            ve = (MPoly.var("v") ** ell_exp
-                  if u_symbolic or isinstance(params.u_exp, MPoly)
+            ve = (MPoly.var("v") ** ell_exp if isinstance(params.u_exp, MPoly)
                   else params.u_exp ** ell_exp)
             term = term * ve * MPoly.const(Fraction(1, factorial(ell_exp)))
         if term.is_zero():

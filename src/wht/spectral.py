@@ -258,7 +258,7 @@ def compute_Z(sd: SpectralData) -> TSeries:
                 coeffs[j] = coeffs[j] + zn * c
     Z = TSeries(T, coeffs)
     xb = TSeries.const(T, MPoly.var("xb"))
-    if not _ts_eq(Z, _z_rhs(sd, Z, xb)):
+    if not (Z - _z_rhs(sd, Z, xb)).is_zero():
         raise RingDomainError("Z is not a fixed point of its defining equation")
     sd._Z = Z
     return Z
@@ -287,11 +287,6 @@ def _zl_eval_poly(zl: ZLaurent, g: TSeries) -> TSeries:
     if win and win[0] < 0:
         raise RingUsageError("negative exponents in polynomial evaluation")
     return zl.eval_series(g)
-
-
-def _ts_eq(a: TSeries, b: TSeries) -> bool:
-    d = a - b
-    return all(c.is_zero() if isinstance(c, MPoly) else is_zero(c) for c in d.coeffs)
 
 
 def reference_color(sd: SpectralData) -> ColorSpec:
@@ -673,54 +668,62 @@ def insertion_identity_sides(params: ModelParams):
     return lhs, rhs
 
 
-def critical_t(m: int, r: int):
-    """Location of the dominant singularity of the one-point system with unit
-    weights: critical point of the polynomial fixed-point equations, found by
-    eliminating down to a univariate polynomial in t.
+def critical_t(m: int, r: int) -> float:
+    """Location t_c of the dominant singularity of the one-point system with
+    unit weights, U = 1 + E ((m-1)/U + r/V) and V = 1 - E (m/U + (r+1)/V) with
+    E = t U^m / V^r (no U when m = 0, no V when r = 0).
 
-    Returns (t_critical, univariate sympy polynomial in t).
+    E enters linearly, so eliminating it leaves t = N(x)/D(x) along the branch
+    that starts from U = V = 1 at t = 0 (x = 1): for m = 0, x = V and
+    t = (1-x) x^(r+1)/(r+1); for r = 0, x = U and t = (x-1)/((m-1) x^(m-1)).
+    Otherwise (U, V) lies on the conic (U-1)(mV + (r+1)U) = (1-V)((m-1)V + rU)
+    through (0, 0) and (1, 1); the line V = x U meets it again at U = u/c,
+    with u = (2r+1) + (2m-1)x and c = (m-1)x^2 + (m+r)x + r+1, where
+    t = (1-x) x^(r+1) u^(r+1-m) c^(m-r-2).
+
+    t_c is the first stationary value of t met when x leaves 1 in the
+    direction in which t grows, with no pole of t before it.  The smallest
+    positive stationary value can lie off the branch: about 3e-11 for (1, 10)
+    and 8e-4 for (6, 2).
     """
-    import sympy as sp
+    return _critical_point(m, r)[0]
 
-    U, V, t = sp.symbols("U V t", positive=False)
-    Ue = U if m >= 1 else sp.Integer(1)
-    Ve = V if r >= 1 else sp.Integer(1)
-    E = t * Ue ** m / Ve ** r
-    eqs = []
-    vs = []
-    if m >= 1:
-        eqs.append(U - 1 - E * (sp.Rational(m - 1) / Ue + sp.Rational(r) / Ve))
-        vs.append(U)
-    if r >= 1:
-        eqs.append(V - 1 + E * (sp.Rational(m) / Ue + sp.Rational(r + 1) / Ve))
-        vs.append(V)
-    jac = sp.Matrix([[sp.diff(f, v) for v in vs] for f in eqs])
-    eqs = eqs + [jac.det()]
-    polys = [sp.numer(sp.together(f)) for f in eqs]
 
-    def eliminate_to(keep):
-        order = [s for s in (U, V, t) if s is not keep and s in
-                 set().union(*[p.free_symbols for p in polys])] + [keep]
-        gb = sp.groebner(polys, *order, order="lex")
-        for g in gb.exprs:
-            if g.free_symbols <= {keep}:
-                return sp.Poly(g, keep)
-        return None
+def _critical_point(m: int, r: int):
+    """(t_c, U, V) at the critical point of `critical_t`."""
+    x = np.polynomial.Polynomial([0, 1])
+    one = x ** 0
+    if m == 0 and r == 0:
+        raise RingDomainError("the one-point system of (0, 0) has no unknown")
+    # U = Un(x)/den(x), V = Vn(x)/den(x) along the branch
+    if m == 0:
+        N, D = (1 - x) * x ** (r + 1), (r + 1) * one
+        Un, Vn, den = one, x, one
+    elif r == 0:
+        N, D = x - 1, (m - 1) * x ** (m - 1)
+        Un, Vn, den = x, one, one
+    else:
+        u = (2 * r + 1) + (2 * m - 1) * x
+        c = (m - 1) * x ** 2 + (m + r) * x + (r + 1)
+        k = r + 1 - m
+        N = (1 - x) * x ** (r + 1) * u ** max(k, 0) * c ** max(-k - 1, 0)
+        D = c ** max(k + 1, 0) * u ** max(-k, 0)
+        Un, Vn, den = u, x * u, c
+    W = N.deriv() * D - N * D.deriv()
+    grow = np.sign(N.deriv()(1.0) * D(1.0))
+    if grow == 0:
+        raise RingDomainError(f"t is not a function on the branch of ({m}, {r})")
 
-    uni = eliminate_to(t)
-    if uni is None:
-        raise RingDomainError("elimination produced no univariate polynomial")
-    roots = [complex(z) for z in sp.nroots(uni)]
-    cands = [z.real for z in roots
-             if abs(z.imag) < 1e-12 and z.real > 1e-12]
-    if not cands:
-        raise RingDomainError("no positive critical value found")
-    var_polys = {}
-    for v in vs:
-        pv = eliminate_to(v)
-        if pv is not None:
-            var_polys[str(v)] = pv
-    return min(cands), {"t_poly": uni, "var_polys": var_polys}
+    def ahead(p):
+        z = p.roots()
+        dist = (z.real[abs(z.imag) < 1e-9] - 1.0) * grow
+        return dist[dist > 1e-9]
+
+    stat, poles = ahead(W), ahead(D)
+    if not stat.size or (poles.size and poles.min() <= stat.min()):
+        raise RingDomainError(f"t has no stationary value on the branch of ({m}, {r})")
+    s = 1.0 + grow * stat.min()
+    return float(N(s) / D(s)), float(Un(s) / den(s)), float(Vn(s) / den(s))
 
 
 # ---------------------------------------------------------------------------

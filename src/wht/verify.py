@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import AssumptionViolation, EllBounds, ModelParams
 from .oracle import build_table, tau_from_table, tau_schur, wgn_oracle
-from .ring import MPoly, TSeries
+from .ring import MPoly
 from .slices import (
     elementary_slice_residual, last_passage_check, tilde_transform,
     w01_bijective, w02_annular,
@@ -39,11 +39,6 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.status in ("PASS", "SKIP")
-
-
-def _series_zero(ts: TSeries) -> bool:
-    return all((c.is_zero() if isinstance(c, MPoly) else c == 0)
-               for c in ts.coeffs)
 
 
 def _rename(ts, mapping):
@@ -105,7 +100,7 @@ def suite_oracle_vs_schur(cfg=None) -> CheckResult:
         lhs = tau_schur(params, d_max, u_symbolic=True, ell_cap=max(cap, 1))
         rhs = tau_from_table(tab, params, d_max, connected=False,
                              u_symbolic=True)
-        ok = _series_zero(lhs - rhs)
+        ok = (lhs - rhs).is_zero()
         details[f"{m},{r}"] = {"d_max": d_max, "equal": ok}
         if not ok:
             return CheckResult("oracle-vs-schur", "FAIL", details)
@@ -130,11 +125,11 @@ def suite_disk(cfg=None, oracle_params: ModelParams | None = None) -> CheckResul
             tab_params = params
         ws = w01(sd)
         wo = _rename(wgn_oracle(tab, tab_params, 0, 1), {"xb1": "xb"})
-        ok = _series_zero(ws - wo)
+        ok = (ws - wo).is_zero()
         details[f"{m},{r}"] = {"curve_vs_oracle": ok, "order": d}
         if r == 0:
             td = tilde_transform(sd, params)
-            okb = _series_zero(w01_bijective(td) - ws)
+            okb = (w01_bijective(td) - ws).is_zero()
             details[f"{m},{r}"]["path_vs_curve"] = okb
             ok = ok and okb
         if not ok:
@@ -142,8 +137,8 @@ def suite_disk(cfg=None, oracle_params: ModelParams | None = None) -> CheckResul
     # deeper window through the enumeration-free oracle
     from .oracle import wgn_via_characters
     p21 = _concordance_params(2, 1, 6)
-    deep = _series_zero(_rename(w01(solve_system(p21)), {"xb": "xb1"})
-                        - wgn_via_characters(p21, 6, 0, 1))
+    deep = (_rename(w01(solve_system(p21)), {"xb": "xb1"})
+            - wgn_via_characters(p21, 6, 0, 1)).is_zero()
     details["2,1 deep t^6"] = deep
     return CheckResult("disk", "PASS" if deep else "FAIL", details)
 
@@ -156,15 +151,14 @@ def suite_cylinder(cfg=None) -> CheckResult:
         params = sd.params
         tab = _cached_table(m, r)
         ws = w02(sd)
-        ok = _series_zero(ws - wgn_oracle(tab, params, 0, 2))
+        ok = (ws - wgn_oracle(tab, params, 0, 2)).is_zero()
         details[f"{m},{r}"] = {"curve_vs_oracle": ok, "order": d}
         if r == 0:
             td = tilde_transform(sd, params)
-            oka = _series_zero(w02_annular(td) - ws)
+            oka = (w02_annular(td) - ws).is_zero()
             oke = all(elementary_slice_residual(td, c).is_zero()
                       for c in range(m))
-            okl = all(_series_zero(rr)
-                      for rr in last_passage_check(td, p_max=3, f_max=3))
+            okl = all(rr.is_zero() for rr in last_passage_check(td, p_max=3, f_max=3))
             details[f"{m},{r}"].update(
                 {"annular_vs_curve": oka, "elementary": oke, "last_passage": okl})
             ok = ok and oka and oke and okl
@@ -172,8 +166,8 @@ def suite_cylinder(cfg=None) -> CheckResult:
             return CheckResult("cylinder", "FAIL", details)
     from .oracle import wgn_via_characters
     p11 = _concordance_params(1, 1, 5)
-    deep = _series_zero(w02(solve_system(p11))
-                        - wgn_via_characters(p11, 5, 0, 2))
+    deep = (w02(solve_system(p11))
+            - wgn_via_characters(p11, 5, 0, 2)).is_zero()
     details["1,1 deep t^5"] = deep
     return CheckResult("cylinder", "PASS" if deep else "FAIL", details)
 
@@ -199,10 +193,10 @@ def suite_artificial_poles(cfg=None) -> CheckResult:
     sb, se = solve_system(base), solve_system(ext)
     checks = {
         "blocks": se.A["c2"] == se.A["c4"] and se.B["c2"] == se.B["c4"],
-        "Z": _series_zero(compute_Z(se) - compute_Z(sb)),
+        "Z": (compute_Z(se) - compute_Z(sb)).is_zero(),
         "H": assemble_curve(se)[2] == assemble_curve(sb)[2],
-        "disk": _series_zero(w01(se) - w01(sb)),
-        "cylinder": _series_zero(w02(se) - w02(sb)),
+        "disk": (w01(se) - w01(sb)).is_zero(),
+        "cylinder": (w02(se) - w02(sb)).is_zero(),
     }
     status = "PASS" if all(checks.values()) else "FAIL"
     return CheckResult("artificial-poles", status, checks)
@@ -218,7 +212,7 @@ def suite_set_to_zero(cfg=None) -> CheckResult:
     checks = {
         "trivial_blocks": (sd21.A["c1"].window() == (0, 0)
                            and sd21.B["c1"].window() == (0, 0)),
-        "Z": _series_zero(compute_Z(sd21) - compute_Z(sd11)),
+        "Z": (compute_Z(sd21) - compute_Z(sd11)).is_zero(),
         "X": c21[0] == c11[0] and c21[1] == c11[1],
         "Y": c21[2] == c11[2],
     }
@@ -230,7 +224,7 @@ def suite_insertion_identity(cfg=None) -> CheckResult:
     params = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3), F(2)],
                               q=[F(2, 7), F(1, 5)], T=6)
     lhs, rhs = insertion_identity_sides(params)
-    ok = _series_zero(lhs - rhs)
+    ok = (lhs - rhs).is_zero()
     return CheckResult("insertion-identity", "PASS" if ok else "FAIL",
                        {"T": 6, "exact": ok})
 
@@ -295,8 +289,8 @@ def suite_tr_vs_oracle(cfg=None) -> CheckResult:
 
 
 def suite_critical_values(cfg=None) -> CheckResult:
-    t01, _ = critical_t(0, 1)
-    t30, _ = critical_t(3, 0)
+    t01 = critical_t(0, 1)
+    t30 = critical_t(3, 0)
     d1 = abs(t01 - 2 / 27) / (2 / 27)
     d2 = abs(t30 - 1 / 8) / (1 / 8)
     ok = d1 <= 1e-6 and d2 <= 1e-6
@@ -309,9 +303,9 @@ def suite_exp_extension(cfg=None) -> CheckResult:
                               q=[F(2, 7)], T=3, u_exp=MPoly.var("v"))
     sd = solve_system(params)
     tab = build_table(params, 3, EllBounds(run_max=6, exp_run_max=8))
-    ok1 = _series_zero(w01(sd) - _rename(wgn_oracle(tab, params, 0, 1),
-                                         {"xb1": "xb"}))
-    ok2 = _series_zero(w02(sd) - wgn_oracle(tab, params, 0, 2))
+    ok1 = (w01(sd) - _rename(wgn_oracle(tab, params, 0, 1),
+                             {"xb1": "xb"})).is_zero()
+    ok2 = (w02(sd) - wgn_oracle(tab, params, 0, 2)).is_zero()
 
     pe = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
                           q=[F(2, 7)], T=3, u_exp=F(1, 5))

@@ -49,11 +49,13 @@ def test_config_rejects_unknown_task(tmp_path):
     ("toprec", "t_value", [0.9, 0.0], "toprec.t_value"),
     ("toprec", "depth_margin", -6, "toprec.depth_margin"),
     ("oracle", "d_max", 8, "oracle.d_max"),
+    ("toprec", "n_max", {"g_max": 0, "n_max": 2},
+     "toprec.g_max = 0 and toprec.n_max = 2"),
 ])
 def test_inexact_or_out_of_range_config_exits_2(tmp_path, capsys, section,
                                                  key, value, named):
     data = json.loads(json.dumps(BASE_CFG))
-    data[section][key] = value
+    data[section].update(value if isinstance(value, dict) else {key: value})
     data["output"]["dir"] = str(tmp_path / "out")
     path = write_cfg(tmp_path, data)
     assert cli.main(["tr", "--config", path]) == cli.EXIT_CONFIG

@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wht.model import AssumptionViolation, EllBounds, ModelParams
 from wht.oracle import build_table, wgn_oracle
-from wht.ring import MPoly, TSeries, ZLaurent, divided_difference
+from wht.ring import MPoly, RingDomainError, TSeries, ZLaurent, divided_difference
 from wht.spectral import (
-    assemble_curve, compute_Z, critical_t, formal_branchpoints,
+    _critical_point, assemble_curve, compute_Z, critical_t, formal_branchpoints,
     initial_ramification, insertion_identity_sides, solve_bulk_approximation,
     solve_system, spectral_export, w01, w02,
 )
@@ -364,17 +369,94 @@ def test_formal_branchpoints_scaling_case():
 # --- critical values ---------------------------------------------------------------
 
 def test_critical_values_match_known_constants():
-    tc, _ = critical_t(0, 1)
-    assert abs(tc - 2 / 27) < 1e-9
-    tc, _ = critical_t(3, 0)
-    assert abs(tc - 1 / 8) < 1e-9
+    # one unknown: t = (1-V) V^(r+1)/(r+1) and t = (U-1)/((m-1) U^(m-1)),
+    # with 2/27 at (0, 1) and 1/8 at (3, 0)
+    for r in range(1, 5):
+        exact = (r + 1) ** r / (r + 2) ** (r + 2)
+        assert abs(critical_t(0, r) - exact) <= 1e-12 * exact
+    for m in range(3, 6):
+        exact = (m - 2) ** (m - 2) / (m - 1) ** m
+        assert abs(critical_t(m, 0) - exact) <= 1e-12 * exact
+    # the values of the former Groebner-basis elimination
+    for (m, r), old in {(1, 1): 0.05066921413383986, (1, 2): 0.025374148742111413,
+                        (1, 3): 0.015452945315651499}.items():
+        assert abs(critical_t(m, r) - old) <= 1e-12 * old
 
 
-def test_critical_equation_degree_three_for_one_run_model():
-    # the critical-value equation for the fixed-point unknown is cubic
-    _, info = critical_t(0, 1)
-    import sympy as sp
-    assert sp.degree(info["var_polys"]["V"]) == 3
+@pytest.mark.parametrize("m, r", [(0, 0), (1, 0), (2, 0)])
+def test_critical_t_without_critical_value_raises(m, r):
+    # (1, 0): U = 1 for every t; (2, 0): t = 1 - 1/U grows without a maximum
+    with pytest.raises(RingDomainError):
+        critical_t(m, r)
+
+
+def _one_point(m, r, y, t):
+    """Residuals and Jacobian of the unit-weight one-point system in the
+    unknowns y = (U if m, V if r), each equation as terms c t^k U^a V^b."""
+    U, V = (y[0] if m else 1.0), (y[-1] if r else 1.0)
+    eqs = []
+    if m:
+        eqs.append([(1, 0, 1, 0), (-1, 0, 0, 0), (1 - m, 1, m - 1, -r),
+                    (-r, 1, m, -r - 1)])
+    if r:
+        eqs.append([(1, 0, 0, 1), (-1, 0, 0, 0), (m, 1, m - 1, -r),
+                    (r + 1, 1, m, -r - 1)])
+    res = np.array([sum(c * t ** k * U ** a * V ** b for c, k, a, b in eq)
+                    for eq in eqs])
+    dU = [sum(c * t ** k * a * U ** (a - 1) * V ** b for c, k, a, b in eq)
+          for eq in eqs]
+    dV = [sum(c * t ** k * b * U ** a * V ** (b - 1) for c, k, a, b in eq)
+          for eq in eqs]
+    jac = np.array([col for col, on in ((dU, m), (dV, r)) if on]).T
+    return res, jac
+
+
+def _continue(m, r, y, ts):
+    """Newton continuation along ts; det J must keep the sign it has at
+    t = 0 (J = 1 there), so no fold is crossed on the way."""
+    for t in ts:
+        for _ in range(30):
+            res, jac = _one_point(m, r, y, t)
+            y = y - np.linalg.solve(jac, res)
+            if np.abs(res).max() < 1e-14:
+                break
+        assert np.linalg.det(_one_point(m, r, y, t)[1]) > 0
+    return y
+
+
+# (1, 10), (6, 2) and (10, 4): the smallest positive stationary value of t
+# lies off the branch (2.9e-11, 7.6e-4 and 1.9e-11)
+@pytest.mark.parametrize("m, r", [(m, r) for m in range(4) for r in range(4)]
+                         + [(1, 10), (6, 2), (10, 4)])
+def test_critical_point_is_the_first_fold_of_the_branch(m, r):
+    try:
+        tc, U, V = _critical_point(m, r)
+    except RingDomainError:
+        return
+    assert tc == critical_t(m, r) and tc > 0
+    y_c = np.array([v for v, on in ((U, m), (V, r)) if on])
+    res, jac = _one_point(m, r, y_c, tc)
+    assert np.abs(res).max() < 1e-10 and abs(np.linalg.det(jac)) < 1e-10
+    # the branch from U = V = 1 reaches 0.99 t_c without a fold, then tends
+    # to the returned point (as sqrt(t_c - t): 1e-4 apart at 1 - 1e-8)
+    y = _continue(m, r, np.ones(len(y_c)), np.linspace(0, 0.99 * tc, 100)[1:])
+    y = _continue(m, r, y, tc * (1 - 0.01 * 0.5 ** np.arange(1, 21)))
+    assert np.abs(y - y_c).max() < 1e-3
+
+
+def test_critical_values_suite_imports_only_numpy():
+    # the suite loads no package beyond the standard library and numpy
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from wht.verify import run_suite\n"
+            "assert run_suite('critical-values').status == 'PASS'\n"
+            "new = {n.partition('.')[0] for n in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'wht'}))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_solver_matches_one_point_system():
