@@ -691,10 +691,10 @@ def critical_t(m: int, r: int) -> float:
 
 def _critical_point(m: int, r: int):
     """(t_c, U, V) at the critical point of `critical_t`."""
-    x = np.polynomial.Polynomial([0, 1])
-    one = x ** 0
     if m == 0 and r == 0:
         raise RingDomainError("the one-point system of (0, 0) has no unknown")
+    x = np.polynomial.Polynomial([0, 1])
+    one = x ** 0
     # U = Un(x)/den(x), V = Vn(x)/den(x) along the branch
     if m == 0:
         N, D = (1 - x) * x ** (r + 1), (r + 1) * one
@@ -712,7 +712,7 @@ def _critical_point(m: int, r: int):
     W = N.deriv() * D - N * D.deriv()
     grow = np.sign(N.deriv()(1.0) * D(1.0))
     if grow == 0:
-        raise RingDomainError(f"t is not a function on the branch of ({m}, {r})")
+        raise RingDomainError(f"the branch of ({m}, {r}) does not depend on t")
 
     def ahead(p):
         z = p.roots()
