@@ -9,19 +9,33 @@ anything else.  Complex numbers enter only as evaluation points
 construction and every operation is a pure function, so independent
 computations can safely run in parallel.
 
-The two product kernels, ``TSeries.__mul__`` on rational coefficients and
-``MPoly.__mul__``, bring each operand to integer numerators over one common
-denominator (``_common``), accumulate integer products, and build one
-``Fraction`` per output coefficient instead of one per term product.  An
-output is an ``int`` when neither operand holds a ``Fraction``, and an exact
-zero is the int 0.  A series with MPoly coefficients multiplies coefficient
-by coefficient, through the MPoly kernel.
+Every product-sum runs on integers.  A kernel brings each operand to integer
+numerators over one common denominator (``_common``), accumulates integer
+products, and builds one ``Fraction`` per output coefficient instead of one
+per term product:
+
+* ``TSeries.__mul__`` on rational coefficients convolves two numerator lists;
+* ``ZLaurent.mul`` on rational blocks takes one denominator per block and
+  convolves the numerator rows in (z-exponent, t-order), clip kept;
+* ``TSeries.__mul__`` on MPoly coefficients, and ``invert`` and ``log`` on
+  any, hold each coefficient as (monomial code, numerator) pairs over one
+  denominator per operand (``_Terms``) and accumulate ``{monomial: int}``
+  per output order; the growing rows of ``invert`` and ``log`` keep their
+  own reduced denominators;
+* ``MPoly.__mul__`` accumulates ``{monomial: int}`` for one pair.
+
+An output coefficient is an ``int`` when no operand holds a ``Fraction``,
+and a scalar zero is the int 0; ``invert`` and ``log`` return Fractions.  As
+in a term-by-term sum, a series coefficient is an MPoly when an MPoly entered
+it: a cancelled product coefficient is ``MPoly()``, a cancelled coefficient
+of an inverse the int 0.  Only ``ZLaurent`` blocks with MPoly coefficients
+still multiply pair by pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 
@@ -182,10 +196,7 @@ class MPoly:
         ra = _common(self.terms.values())
         rb = _common(other.terms.values())
         if ra is None or rb is None:
-            bad = next(c for c in (*self.terms.values(), *other.terms.values())
-                       if type(c) not in (int, Fraction))
-            raise RingUsageError(
-                f"MPoly terms must be int or Fraction, not {type(bad).__name__}")
+            _reject([*self.terms.values(), *other.terms.values()])
         (na, Da, fa), (nb, Db, fb) = ra, rb
         acc: dict = {}
         for m1, n1 in zip(self.terms, na):
@@ -319,6 +330,98 @@ def mpoly_divided_difference(p: MPoly, name: str, name1: str, name2: str) -> MPo
 
 
 # ---------------------------------------------------------------------------
+# integer form of series coefficients
+
+
+def _reduce(acc: dict, den: int):
+    """The accumulation acc over den > 0 as (row, d) over the least common
+    denominator d of its values."""
+    g = gcd(den, *acc.values())
+    return [(p, n // g) for p, n in acc.items() if n], den // g
+
+
+def _scaled(row, f: int):
+    return row if f == 1 else [(p, n * f) for p, n in row]
+
+
+_DIGIT = (1 << 64) - 1        # one exponent place of a monomial code
+
+
+class _Terms:
+    """Integer form of series coefficients within one kernel call.
+
+    A monomial is coded as the integer sum of e * 2^(64 k) over its
+    variables, where k is the place of the variable's name among all names
+    of the call in sorted order; any exponent below 2^63 in size decodes
+    uniquely, and the code of a product of monomials is the sum of their
+    codes.  A row lists the (code, numerator) pairs of one coefficient and is
+    empty for a zero.
+    """
+
+    __slots__ = ("names", "weight")
+
+    def __init__(self, cs):
+        """`cs`: every coefficient the call reads, to fix the names."""
+        self.names = sorted({n for c in cs if type(c) is MPoly
+                             for m in c.terms for n, _ in m})
+        self.weight = {n: 1 << (64 * k) for k, n in enumerate(self.names)}
+
+    def rows(self, cs):
+        """(rows, D, frac, polys): c_i == sum of numerator * monomial over
+        rows[i], divided by D; frac tells whether any term is a Fraction and
+        polys[i] whether c_i is an MPoly."""
+        polys = [type(c) is MPoly for c in cs]
+        terms = [c.terms if p else ({(): c} if c else {}) for c, p in zip(cs, polys)]
+        values = [v for t in terms for v in t.values()]
+        r = _common(values)
+        if r is None:
+            _reject(values)
+        nums, D, frac = r
+        it = iter(nums)
+        w = self.weight
+        rows = [[(sum(e * w[n] for n, e in m), next(it)) for m in t] for t in terms]
+        return rows, D, frac, polys
+
+    def monomial(self, code: int) -> tuple:
+        """The monomial whose code is `code`, as a sorted tuple of (name,
+        exponent) pairs."""
+        mono = []
+        for name in self.names:
+            e = code & _DIGIT
+            if e > _DIGIT >> 1:
+                e -= _DIGIT + 1
+            code = (code - e) >> 64
+            if e:
+                mono.append((name, e))
+        return tuple(mono)
+
+    def coeff(self, terms, D: int, frac: bool, poly: bool):
+        """The coefficient sum of numerator * monomial over the (code,
+        numerator) pairs `terms`, divided by D: an MPoly when `poly`, else a
+        scalar."""
+        if poly:
+            return MPoly({self.monomial(p): _rational(n, D, frac)
+                          for p, n in terms if n})
+        return _rational(sum(n for _, n in terms), D, frac)
+
+
+def _dot(pairs, acc: dict) -> dict:
+    """Add the products of the rows of each pair (x, y) into acc."""
+    for x, y in pairs:
+        for i, n in x:
+            for j, m in y:
+                p = i + j
+                acc[p] = acc.get(p, 0) + n * m
+    return acc
+
+
+def _reject(values):
+    bad = next(c for c in values if type(c) not in (int, Fraction))
+    raise RingUsageError(
+        f"MPoly terms must be int or Fraction, not {type(bad).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # truncated power series in t
 
 
@@ -400,15 +503,19 @@ class TSeries:
             D, frac = Da * Db, fa or fb
             return TSeries(T, [_rational(sum(map(mul, na[:k + 1], nb[k::-1])), D, frac)
                                for k in range(T + 1)])
-        out = [0] * (T + 1)
-        for i, a in enumerate(self.coeffs):
-            if is_zero(a):
+        K = _Terms(self.coeffs + other.coeffs)
+        xa, Da, fa, pa = K.rows(self.coeffs)
+        xb, Db, fb, pb = K.rows(other.coeffs)
+        D, frac = Da * Db, fa or fb
+        out = []
+        for k in range(T + 1):
+            ij = [(i, k - i) for i in range(k + 1) if xa[i] and xb[k - i]]
+            if not ij:
+                out.append(0)
                 continue
-            for j in range(T + 1 - i):
-                b = other.coeffs[j]
-                if is_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
+            acc = _dot([(xa[i], xb[j]) for i, j in ij], {})
+            out.append(K.coeff(acc.items(), D, frac,
+                               any(pa[i] or pb[j] for i, j in ij)))
         return TSeries(T, out)
 
     def __rmul__(self, other):
@@ -444,16 +551,28 @@ class TSeries:
         if not self.is_unit():
             raise RingDomainError("inversion requires a unit constant term")
         T = self.order
-        b0 = scalar_invert(self.coeffs[0])
-        out = [b0] + [0] * T
+        K = _Terms(self.coeffs)
+        xa, _, _, pa = K.rows(self.coeffs)
+        # b_k = -(sum_j a_j b_(k-j)) / a_0 = -(sum_j alpha_j b_(k-j)) / alpha_0
+        # with a_j = alpha_j / D; with the b_(k-j) over L, the lcm of their
+        # denominators, b_k is an integer sum over L |alpha_0|, the sign of
+        # -alpha_0 folded into the scale of the rows
+        alpha0 = xa[0][0][1]
+        sign = -1 if alpha0 > 0 else 1
+        out = [scalar_invert(self.coeffs[0])]
+        rows, d0, _, _ = K.rows(out)
+        dens, polys = [d0], [pa[0]]
         for k in range(1, T + 1):
-            s = 0
-            for j in range(1, k + 1):
-                a = self.coeffs[j]
-                if is_zero(a) or is_zero(out[k - j]):
-                    continue
-                s = s + a * out[k - j]
-            out[k] = -b0 * s if not is_zero(s) else 0
+            js = [j for j in range(1, k + 1) if xa[j] and rows[k - j]]
+            L = lcm(*(dens[k - j] for j in js))
+            acc = _dot([(xa[j], _scaled(rows[k - j], sign * (L // dens[k - j])))
+                         for j in js], {})
+            poly = pa[0] or any(pa[j] or polys[k - j] for j in js)
+            row, d = _reduce(acc, L * abs(alpha0))
+            out.append(K.coeff(row, d, True, poly) if row else 0)
+            rows.append(row)
+            dens.append(d)
+            polys.append(poly)
         return TSeries(T, out)
 
     def exp(self) -> "TSeries":
@@ -476,17 +595,26 @@ class TSeries:
         M_k = k a_k - sum_{0<j<k} M_j a_(k-j)."""
         if self.coeffs[0] != 1:
             raise RingDomainError("log needs constant term 1")
-        a = self.coeffs
-        M = [0] * (self.order + 1)
-        for k in range(1, self.order + 1):
-            s = a[k] * k
-            for j in range(1, k):
-                if is_zero(M[j]) or is_zero(a[k - j]):
-                    continue
-                s = s - M[j] * a[k - j]
-            M[k] = s
-        return TSeries(self.order, [0] + [
-            M[k] * Fraction(1, k) for k in range(1, self.order + 1)])
+        T = self.order
+        K = _Terms(self.coeffs)
+        xa, Da, _, pa = K.rows(self.coeffs)
+        out = [0]
+        rows, dens, polys = [[]], [1], [False]     # M_k over its own denominator
+        # M_k = (k L alpha_k - sum_j mu_j (L / d_j) alpha_(k-j)) / (D L), where
+        # a_j = alpha_j / D, M_j = mu_j / d_j and L = lcm of the d_j
+        for k in range(1, T + 1):
+            js = [j for j in range(1, k) if rows[j] and xa[k - j]]
+            L = lcm(*(dens[j] for j in js))
+            acc = {p: k * L * n for p, n in xa[k]}
+            acc = _dot([(_scaled(rows[j], -(L // dens[j])), xa[k - j])
+                         for j in js], acc)
+            poly = pa[k] or any(polys[j] or pa[k - j] for j in js)
+            out.append(K.coeff(acc.items(), Da * L * k, True, poly))
+            row, d = _reduce(acc, Da * L)
+            rows.append(row)
+            dens.append(d)
+            polys.append(poly)
+        return TSeries(T, out)
 
     def tshift(self, s: int) -> "TSeries":
         """Multiply by t^s (coefficients beyond T are dropped)."""
@@ -527,6 +655,23 @@ def divided_difference(Z: TSeries, var: str = "xb", var1: str = "xb1",
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in z with TSeries coefficients
+
+
+def _block(zl: "ZLaurent"):
+    """(rows, D, frac) of a block with rational coefficients, None for one
+    with MPoly coefficients: a row (e, v, numerators) holds the z^e series
+    over the block's common denominator D from its valuation v on."""
+    r = _common([c for ts in zl.coeffs.values() for c in ts.coeffs])
+    if r is None:
+        return None
+    nums, D, frac = r
+    n = zl.order + 1
+    rows = []
+    for i, e in enumerate(zl.coeffs):
+        row = nums[i * n:(i + 1) * n]
+        v = next(k for k, c in enumerate(row) if c)
+        rows.append((e, v, row[v:]))
+    return rows, D, frac
 
 
 PROJECTION_MODES = ("lt", "le", "gt", "ge")
@@ -601,6 +746,32 @@ class ZLaurent:
         never re-enter the target window through later factors (all our uses
         multiply one-signed-exponent series).
         """
+        if self.order != other.order:
+            raise RingUsageError(
+                f"mixed truncation orders {self.order} != {other.order}")
+        ra, rb = _block(self), _block(other)
+        if ra is None or rb is None:
+            return self._mul_pairs(other, lo, hi)
+        (xa, Da, fa), (xb, Db, fb) = ra, rb
+        T = self.order
+        acc: dict = {}
+        for e1, v1, x in xa:
+            for e2, v2, y in xb:
+                e = e1 + e2
+                if (lo is not None and e < lo) or (hi is not None and e > hi):
+                    continue
+                row = acc.get(e)
+                if row is None:
+                    row = acc[e] = [0] * (T + 1)
+                v = v1 + v2
+                for k in range(T + 1 - v):
+                    row[v + k] += sum(map(mul, x[:k + 1], y[k::-1]))
+        D, frac = Da * Db, fa or fb
+        return ZLaurent(T, {e: TSeries(T, [_rational(n, D, frac) for n in row])
+                            for e, row in acc.items() if any(row)})
+
+    def _mul_pairs(self, other: "ZLaurent", lo, hi) -> "ZLaurent":
+        """`mul` for blocks with MPoly coefficients: series pair by pair."""
         out: dict = {}
         for e1, a in self.coeffs.items():
             for e2, b in other.coeffs.items():

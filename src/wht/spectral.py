@@ -247,16 +247,18 @@ def compute_Z(sd: SpectralData) -> TSeries:
         phi = phi.mul(f.power(c.mult, 0, T), 0, T)
     if sd.params.has_exp:
         phi = phi.mul(sd.eta.scale(sd.params.u_exp).exp(0, T), 0, T)
-    coeffs = [MPoly() for _ in range(T + 1)]
+    terms = [{} for _ in range(T + 1)]       # [t^j] Z as {xb^n: coefficient}
     phi_n = phi
     for n in range(1, T + 2):
         if n > 1:
             phi_n = phi_n.mul(phi, 0, T)
-        zn = MPoly.var("xb", n)
-        for j, c in enumerate(phi_n.get(n - 1).scale(Fraction(1, n)).coeffs):
-            if not is_zero(c):
-                coeffs[j] = coeffs[j] + zn * c
-    Z = TSeries(T, coeffs)
+        for j, c in enumerate(phi_n.get(n - 1).coeffs):
+            if isinstance(c, MPoly):        # deformation variables
+                for m, v in (MPoly.var("xb", n) * c).terms.items():
+                    terms[j][m] = Fraction(v, n)
+            elif c:
+                terms[j][(("xb", n),)] = Fraction(c, n)
+    Z = TSeries(T, [MPoly(t) for t in terms])
     xb = TSeries.const(T, MPoly.var("xb"))
     if not (Z - _z_rhs(sd, Z, xb)).is_zero():
         raise RingDomainError("Z is not a fixed point of its defining equation")
@@ -399,38 +401,6 @@ def w02(sd: SpectralData) -> TSeries:
 # ramification points
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if is_zero(y):
-                continue
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def _poly_scale(a, c):
-    return [x * c for x in a]
-
-
-def _poly_diff(a):
-    return [i * a[i] for i in range(1, len(a))]
-
-
-def _poly_trim(a):
-    while a and is_zero(a[-1]):
-        a = a[:-1]
-    return a
-
-
 # relative distance below which ramification points count as zero or colliding
 _GAP_TOL = 1e-8
 
@@ -440,31 +410,34 @@ def initial_ramification(params: ModelParams):
     cleared-denominator polynomial via companion-matrix roots plus one Newton
     polish.  Degenerate configurations raise AssumptionViolation naming the
     failed clause."""
-    Q = [0] + list(params.q)
-    dQ = _poly_diff(Q)
-    factors = []
-    for c in _colors_from_params(params):
-        if is_zero(c.u):
-            continue
-        factors.append((_poly_add([scalar_invert(c.u)], Q), c.side))
-    M_eff = len(factors)
-    expected = (M_eff + (1 if params.has_exp else 0)) * params.D2
+    units = [(c.u, c.side) for c in _colors_from_params(params) if not is_zero(c.u)]
+    expected = (len(units) + (1 if params.has_exp else 0)) * params.D2
 
-    prod_all = [1]
+    def poly(cs):
+        # a polynomial in z as a series truncated at the expected degree,
+        # which bounds the degree of every product below, so they are exact
+        return TSeries(expected, (cs + [0] * expected)[:expected + 1])
+
+    Q = poly([0, *params.q])
+    dQ = poly([k * qk for k, qk in enumerate(params.q, 1)])
+    factors = [(Q + scalar_invert(u), side) for u, side in units]
+
+    one = TSeries.const(expected, 1)
+    prod_all = one
     for f, _ in factors:
-        prod_all = _poly_mul(prod_all, f)
-    bracket = [0]
-    for k, (f, side) in enumerate(factors):
-        partial = [1]
+        prod_all = prod_all * f
+    bracket = TSeries.zero(expected)
+    for k, (_, side) in enumerate(factors):
+        partial = one
         for k2, (f2, _) in enumerate(factors):
             if k2 != k:
-                partial = _poly_mul(partial, f2)
-        bracket = _poly_add(bracket, _poly_scale(partial, side))
+                partial = partial * f2
+        bracket = bracket + partial.scale(side)
     if params.has_exp:
-        bracket = _poly_add(bracket, _poly_scale(prod_all, params.u_exp))
-    P = _poly_add(_poly_scale(prod_all, -1),
-                  _poly_mul([0, 1], _poly_mul(dQ, bracket)))
-    P = _poly_trim(P)
+        bracket = bracket + prod_all.scale(params.u_exp)
+    P = list((TSeries.t_power(expected, 1) * dQ * bracket - prod_all).coeffs)
+    while P and is_zero(P[-1]):
+        P.pop()
     if len(P) - 1 != expected:
         raise AssumptionViolation(
             "root-count",
@@ -473,7 +446,7 @@ def initial_ramification(params: ModelParams):
     cs = np.array([complex(x) for x in P], dtype=complex)
     roots = np.roots(cs[::-1])
     # one Newton polish, with the derivative taken on the exact coefficients
-    dcs = np.array([complex(x) for x in _poly_diff(P)], dtype=complex)
+    dcs = np.array([complex(k * x) for k, x in enumerate(P)][1:], dtype=complex)
     polished = []
     for z0 in roots:
         fz = horner(cs, z0)

@@ -9,21 +9,13 @@ from wht.oracle import (
     enumeration_total, hook_lengths, hurwitz_character_table, monotone_runs,
     partitions, tau_from_table, tau_schur, wgn_oracle,
 )
-from wht.ring import MPoly, RingUsageError
+from wht.ring import MPoly, RingUsageError, is_zero
 
 
 def small_params(m, r, d, u_exp=None):
     u = [F(1 + i, 2 + i) for i in range(m)] + [F(-2 - i, 3 + i) for i in range(r)]
     return ModelParams.make(m, r, u=u, p=[F(1, 3), F(2)], q=[F(3, 5), F(1, 7)],
                             T=d, u_exp=u_exp)
-
-
-def poly_is_zero(c):
-    return c.is_zero() if isinstance(c, MPoly) else c == 0
-
-
-def series_zero(ts):
-    return all(poly_is_zero(c) for c in ts.coeffs)
 
 
 # --- characters ---------------------------------------------------------------
@@ -210,7 +202,7 @@ def test_tau_schur_equals_assembly_symbolic_u():
         tab = build_table(params, 3, EllBounds(run_max=cap))
         lhs = tau_schur(params, 3, u_symbolic=True, ell_cap=max(cap, 1))
         rhs = tau_from_table(tab, params, 3, connected=False, u_symbolic=True)
-        assert series_zero(lhs - rhs), (m, r)
+        assert (lhs - rhs).is_zero(), (m, r)
 
 
 def test_connected_exp_log_consistency():
@@ -227,7 +219,7 @@ def test_connected_exp_log_consistency():
             {mo: v for mo, v in c.terms.items() if dict(mo).get("u1", 0) <= cap})
             if isinstance(c, MPoly) else c)
 
-    assert series_zero(trunc(log_t.exp()) - trunc(tau_d))
+    assert (trunc(log_t.exp()) - trunc(tau_d)).is_zero()
 
 
 def test_exponential_weight_consistency_d2():
@@ -251,7 +243,7 @@ def test_w01_order_zero_empty():
     params = small_params(1, 0, 2)
     tab = build_table(params, 2, EllBounds())
     w = wgn_oracle(tab, params, 0, 1)
-    assert poly_is_zero(w.coeffs[0])
+    assert is_zero(w.coeffs[0])
 
 
 def test_w01_degree_one():
@@ -291,7 +283,7 @@ def test_character_route_matches_enumeration(m, r, g, n):
     tab = build_table(params, d, EllBounds(run_max=cap))
     a = wgn_oracle(tab, params, g, n)
     b = wgn_via_characters(params, d, g, n)
-    assert series_zero(a - b), (m, r, g, n)
+    assert (a - b).is_zero(), (m, r, g, n)
 
 
 def test_character_route_exponential():
@@ -300,7 +292,7 @@ def test_character_route_exponential():
     tab = build_table(params, 3, EllBounds(run_max=0, exp_run_max=8))
     a = wgn_oracle(tab, params, 0, 1)
     b = wgn_via_characters(params, 3, 0, 1)
-    assert series_zero(a - b)
+    assert (a - b).is_zero()
 
 
 # --- explicit tuples ------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wht.ring import (
     MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError,
-    divided_difference, _common, _mono_mul,
+    divided_difference, is_zero, scalar_invert, _common, _mono_mul,
 )
 
 
@@ -214,6 +214,185 @@ def test_mpoly_product_rejects_a_complex_term():
         MPoly.var("x") * MPoly.const(1j)
     with pytest.raises(RingUsageError, match="complex"):
         MPoly({(("x", 1),): 0.5j}) * MPoly.var("y")
+
+
+# --- integer kernels on MPoly coefficients and Laurent blocks ----------------
+# References are the term-by-term loops the kernels replace: scalars multiply
+# as Fractions, MPoly pairs through MPoly.__mul__ (checked against
+# naive_mpoly_mul above) and sums through MPoly.__add__.
+
+def ref_series_mul(a, b):
+    T = a.order
+    out = [0] * (T + 1)
+    for i, x in enumerate(a.coeffs):
+        if is_zero(x):
+            continue
+        for j in range(T + 1 - i):
+            y = b.coeffs[j]
+            if not is_zero(y):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def ref_invert(a):
+    T = a.order
+    b0 = scalar_invert(a.coeffs[0])
+    out = [b0] + [0] * T
+    for k in range(1, T + 1):
+        s = 0
+        for j in range(1, k + 1):
+            if not (is_zero(a.coeffs[j]) or is_zero(out[k - j])):
+                s = s + a.coeffs[j] * out[k - j]
+        out[k] = -b0 * s if not is_zero(s) else 0
+    return out
+
+
+def ref_log(a):
+    M = [0] * (a.order + 1)
+    for k in range(1, a.order + 1):
+        s = a.coeffs[k] * k
+        for j in range(1, k):
+            if not (is_zero(M[j]) or is_zero(a.coeffs[k - j])):
+                s = s - M[j] * a.coeffs[k - j]
+        M[k] = s
+    return [0] + [M[k] * F(1, k) for k in range(1, a.order + 1)]
+
+
+def ref_zl_mul(a, b, lo, hi):
+    out = {}
+    for e1, x in a.coeffs.items():
+        for e2, y in b.coeffs.items():
+            e = e1 + e2
+            if (lo is not None and e < lo) or (hi is not None and e > hi):
+                continue
+            p = TSeries(a.order, ref_series_mul(x, y))
+            out[e] = p if e not in out else out[e] + p
+    return {e: p.coeffs for e, p in out.items() if not p.is_zero()}
+
+
+def check_coeffs(out, ref):
+    """Equal values, an MPoly exactly where the reference has one, int or
+    Fraction terms, and an int for a scalar zero."""
+    assert len(out) == len(ref)
+    for c, r in zip(out, ref):
+        assert isinstance(c, MPoly) == isinstance(r, MPoly), (c, r)
+        if isinstance(c, MPoly):
+            assert c.terms == r.terms
+            assert all(v != 0 and type(v) in (int, F) for v in c.terms.values())
+        else:
+            assert c == r and type(c) in (int, F)
+            assert c != 0 or type(c) is int
+
+
+def scalars(cs):
+    for c in cs:
+        yield from (c.terms.values() if isinstance(c, MPoly) else [c])
+
+
+nonzero = rationals.map(lambda c: c or 1)
+
+
+def poly_coeffs(names):
+    exps = st.sampled_from([-2, -1, 1, 2, 3])
+    monos = st.lists(st.tuples(st.sampled_from(names), exps),
+                     max_size=len(names), unique_by=lambda ne: ne[0]).map(
+        lambda ms: tuple(sorted(ms)))
+    polys = st.dictionaries(monos, nonzero, max_size=3).map(MPoly)
+    return st.one_of(rationals, polys)
+
+
+@st.composite
+def poly_series(draw, T, names, head=None):
+    """A series whose coefficients mix scalars and MPoly in `names`, zeros
+    and empty MPoly included; `head` draws its t^0 coefficient."""
+    cs = draw(st.lists(poly_coeffs(names), min_size=T + 1, max_size=T + 1))
+    if head is not None:
+        cs[0] = draw(head)
+    return TSeries(T, cs)
+
+
+# the order and one or two variables
+shapes = st.tuples(st.integers(0, 5), st.sampled_from([["x"], ["x", "y"]]))
+
+
+units = st.one_of(nonzero, nonzero.map(MPoly.const))
+ones = st.sampled_from([1, MPoly.const(1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(poly_series(*s), poly_series(*s))))
+def test_poly_series_product_equals_term_by_term(ab):
+    a, b = ab
+    out = (a * b).coeffs
+    check_coeffs(out, ref_series_mul(a, b))
+    if all(type(v) is int for v in scalars(a.coeffs + b.coeffs)):
+        assert all(type(v) is int for v in scalars(out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes.flatmap(lambda s: poly_series(*s, head=units)))
+def test_poly_series_invert_equals_term_by_term(a):
+    out = a.invert().coeffs
+    check_coeffs(out, ref_invert(a))
+    assert all(type(v) is F for v in scalars(out) if v != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes.flatmap(lambda s: poly_series(*s, head=ones)))
+def test_poly_series_log_equals_term_by_term(a):
+    out = a.log().coeffs
+    check_coeffs(out, ref_log(a))
+    assert all(type(v) is F for v in scalars(out) if v != 0)
+
+
+def test_poly_series_kernels_cancel_like_a_term_by_term_sum():
+    x = MPoly.var("x")
+    # a product coefficient that an MPoly entered stays MPoly() when it cancels
+    out = (TSeries(1, [x, x]) * TSeries(1, [1, -1])).coeffs
+    assert isinstance(out[1], MPoly) and out[1].is_zero()
+    # ... while one that no pair reached stays the int 0
+    out = (TSeries(1, [x, 0]) * TSeries(1, [x, 0])).coeffs
+    assert out[1] == 0 and type(out[1]) is int
+    # an inverse coefficient that cancels is the int 0
+    inv = TSeries(2, [1, x, x * x]).invert().coeffs
+    assert inv[1] == -x and inv[2] == 0 and type(inv[2]) is int
+
+
+@st.composite
+def blocks(draw, T, coeff):
+    series = st.lists(coeff, min_size=T + 1, max_size=T + 1).map(lambda cs: TSeries(T, cs))
+    return ZLaurent(T, draw(st.dictionaries(st.integers(-3, 3), series, max_size=4)))
+
+
+# the order and the coefficient kind
+block_shapes = st.tuples(st.integers(0, 4), st.sampled_from([rationals, ints]))
+clips = st.one_of(st.none(), st.integers(-5, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_shapes.flatmap(lambda s: st.tuples(blocks(*s), blocks(*s))), clips, clips)
+def test_zlaurent_product_equals_pair_by_pair(ab, lo, hi):
+    a, b = ab
+    out = a.mul(b, lo, hi)
+    ref = ref_zl_mul(a, b, lo, hi)
+    assert set(out.coeffs) == set(ref)
+    for e, ts in out.coeffs.items():
+        check_coeffs(ts.coeffs, ref[e])
+    if all(type(v) is int for zl in (a, b) for ts in zl.coeffs.values()
+           for v in ts.coeffs):
+        assert all(type(v) is int for ts in out.coeffs.values() for v in ts.coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda T: st.tuples(
+    blocks(T, poly_coeffs(["x"])), blocks(T, rationals))), clips, clips)
+def test_zlaurent_product_with_mpoly_coefficients(ab, lo, hi):
+    a, b = ab
+    out = a.mul(b, lo, hi)
+    ref = ref_zl_mul(a, b, lo, hi)
+    assert set(out.coeffs) == set(ref)
+    for e, ts in out.coeffs.items():
+        assert all(is_zero(c - r) for c, r in zip(ts.coeffs, ref[e]))
 
 
 # --- laurent projections -----------------------------------------------------

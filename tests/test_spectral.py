@@ -17,11 +17,8 @@ from wht.spectral import (
     initial_ramification, insertion_identity_sides, solve_bulk_approximation,
     solve_system, spectral_export, w01, w02,
 )
+from wht.toprec import instantiate_curve
 from wht.verify import CONCORDANCE_MODELS, _concordance_params
-
-
-def series_zero(ts):
-    return all((c.is_zero() if isinstance(c, MPoly) else c == 0) for c in ts.coeffs)
 
 
 def rename_series(ts, mapping):
@@ -163,7 +160,7 @@ def test_X_of_Z_is_identity():
     Z = compute_Z(sd)
     Xnum, Xden, _ = assemble_curve(sd)
     lhs = Xnum.eval_series(Z) * TSeries.const(5, MPoly.var("xb")) - Z * Xden.eval_series(Z)
-    assert series_zero(lhs)
+    assert lhs.is_zero()
 
 
 def test_curve_at_Z_gives_x_and_disk_value():
@@ -179,7 +176,7 @@ def test_curve_at_Z_gives_x_and_disk_value():
     # Y(Z(x)) is the disk value plus the internal-face shift
     expect = w01(sd) + TSeries(4, [MPoly.var("xb", 1 - k) * params.p[k - 1]
                                    for k in (1,)] + [MPoly()] * 4)
-    assert series_zero(Y - expect)
+    assert (Y - expect).is_zero()
 
 
 def test_H_color_independence_is_asserted():
@@ -212,9 +209,9 @@ def test_disk_and_cylinder_match_oracle(m, r, u, p, q):
     params = ModelParams.make(m, r, u=u, p=p, q=q, T=d)
     sd = solve_system(params)
     tab = build_table(params, d, EllBounds(run_max=2 * d))
-    assert series_zero(w01(sd) - rename_series(
-        wgn_oracle(tab, params, 0, 1), {"xb1": "xb"}))
-    assert series_zero(w02(sd) - wgn_oracle(tab, params, 0, 2))
+    assert (w01(sd) - rename_series(
+        wgn_oracle(tab, params, 0, 1), {"xb1": "xb"})).is_zero()
+    assert (w02(sd) - wgn_oracle(tab, params, 0, 2)).is_zero()
 
 
 def test_disk_t0_vanishes_and_no_nonnegative_powers():
@@ -238,13 +235,13 @@ def test_cylinder_is_the_divided_log_derivative(params):
            * Rinv * Rinv - TSeries.const(sd.T, 1))
     rhs = rhs.scale(MPoly.var("xb1", 2) * MPoly.var("xb2", 2))
     lin = MPoly.var("xb1") - MPoly.var("xb2")
-    assert series_zero(w02(sd).scale(lin * lin) - rhs)
+    assert (w02(sd).scale(lin * lin) - rhs).is_zero()
 
 
 def test_cylinder_symmetry():
     w = w02(solve_system(GENERIC_11))
     sw = w.map_coeffs(lambda c: c.rename({"xb1": "t_", "xb2": "xb1"}).rename({"t_": "xb2"}))
-    assert series_zero(w - sw)
+    assert (w - sw).is_zero()
 
 
 def test_disk_21_matches_character_oracle_to_t6():
@@ -253,7 +250,7 @@ def test_disk_21_matches_character_oracle_to_t6():
     params = ModelParams.make(2, 1, u=[F(2, 5), F(5, 6), F(-3, 7)],
                               p=[F(1, 3), F(2, 5)], q=[F(3, 7), F(1, 4)], T=6)
     ws = rename_series(w01(solve_system(params)), {"xb": "xb1"})
-    assert series_zero(ws - wgn_via_characters(params, 6, 0, 1))
+    assert (ws - wgn_via_characters(params, 6, 0, 1)).is_zero()
 
 
 def test_cylinder_11_matches_character_oracle_to_t5():
@@ -261,7 +258,7 @@ def test_cylinder_11_matches_character_oracle_to_t5():
     params = ModelParams.make(1, 1, u=[F(2, 5), F(-3, 7)],
                               p=[F(1, 3), F(2, 5)], q=[F(3, 7), F(1, 4)], T=5)
     ws = w02(solve_system(params))
-    assert series_zero(ws - wgn_via_characters(params, 5, 0, 2))
+    assert (ws - wgn_via_characters(params, 5, 0, 2)).is_zero()
 
 
 def test_exponential_disk_cylinder_match_oracle():
@@ -269,9 +266,9 @@ def test_exponential_disk_cylinder_match_oracle():
                               q=[F(2, 7)], T=3, u_exp=MPoly.var("v"))
     sd = solve_system(params)
     tab = build_table(params, 3, EllBounds(run_max=6, exp_run_max=8))
-    assert series_zero(w01(sd) - rename_series(
-        wgn_oracle(tab, params, 0, 1), {"xb1": "xb"}))
-    assert series_zero(w02(sd) - wgn_oracle(tab, params, 0, 2))
+    assert (w01(sd) - rename_series(
+        wgn_oracle(tab, params, 0, 1), {"xb1": "xb"})).is_zero()
+    assert (w02(sd) - wgn_oracle(tab, params, 0, 2)).is_zero()
 
 
 # --- stability and invariance -----------------------------------------------------
@@ -284,7 +281,7 @@ def test_set_to_zero_stability():
     sd21, sd11 = solve_system(p21), solve_system(p11)
     assert sd21.A["c1"] == ZLaurent.const(8, 1)
     assert sd21.B["c1"] == ZLaurent.const(8, 1)
-    assert series_zero(compute_Z(sd21) - compute_Z(sd11))
+    assert (compute_Z(sd21) - compute_Z(sd11)).is_zero()
     for a, b in zip(assemble_curve(sd21), assemble_curve(sd11)):
         assert a == b
 
@@ -296,17 +293,17 @@ def test_artificial_pole_invariance():
                            p=[F(1, 3), F(2)], q=[F(2, 7), F(1, 5)], T=8)
     sb, se = solve_system(base), solve_system(ext)
     assert se.A["c1"] == se.A["c3"] and se.B["c1"] == se.B["c3"]
-    assert series_zero(compute_Z(se) - compute_Z(sb))
+    assert (compute_Z(se) - compute_Z(sb)).is_zero()
     assert assemble_curve(se)[2] == assemble_curve(sb)[2]
-    assert series_zero(w01(se) - w01(sb))
-    assert series_zero(w02(se) - w02(sb))
+    assert (w01(se) - w01(sb)).is_zero()
+    assert (w02(se) - w02(sb)).is_zero()
 
 
 def test_insertion_identity():
     params = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3), F(2)],
                               q=[F(2, 7), F(1, 5)], T=4)
     lhs, rhs = insertion_identity_sides(params)
-    assert series_zero(lhs - rhs)
+    assert (lhs - rhs).is_zero()
 
 
 def test_bulk_approximation_error_scales_like_1_over_N():
@@ -356,6 +353,25 @@ def test_formal_branchpoints_residual():
     bp = formal_branchpoints(solve_system(params), depth=5)
     assert len(bp.initial) == 4
     assert bp.residual < 1e-10
+
+
+@pytest.mark.parametrize("m, r, u", [(1, 1, [F(1, 2), F(-1, 3)]), (1, 0, [F(1, 2)])])
+@pytest.mark.parametrize("t", [1e-3, 1e-2])
+def test_formal_branchpoints_match_the_numeric_curve(m, r, u, t):
+    # (a_i + sum_k f_k t^k) / t against the roots instantiate_curve finds at t
+    params = ModelParams.make(m, r, u=u, p=[F(1, 3), F(2, 5)],
+                              q=[F(2, 7), F(1, 5)], T=6)
+    sd = solve_system(params)
+    bp = formal_branchpoints(sd, depth=6)
+    numeric = instantiate_curve(sd, t).branchpoints
+    assert len(numeric) == len(bp.initial) == 2 * (m + r)
+    nearest = []
+    for i in range(len(bp.initial)):
+        b = bp.value_at(i, t)
+        j = min(range(len(numeric)), key=lambda j: abs(numeric[j] - b))
+        assert abs(numeric[j] - b) <= 1e-12 * abs(b)
+        nearest.append(j)
+    assert sorted(nearest) == list(range(len(numeric)))
 
 
 def test_formal_branchpoints_scaling_case():
