@@ -7,6 +7,8 @@ tensors.  The three-holed sphere and the one-holed torus are then compared
 with the enumerated correlators at sample points.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,9 +28,18 @@ ld = local_data(curve, 0, 14)
 print("involution residual:", ld.checks["involution"])
 
 omega = tr_compute(curve, g_max=1, n_max=3, quadrature_check=True)
-print("\npole-coefficient tensor of the three-holed sphere:")
-for midx, coeff in sorted(omega.tensors[(0, 3)].items()):
-    print("  ", midx, "->", coeff)
+# each tensor is symmetric, so it stores its sorted multi-indices only; a
+# multi-index stands for n! / prod(multiplicity!) orderings, all with its
+# coefficient
+for gn in [(0, 3), (1, 2)]:
+    print(f"\npole-coefficient tensor of (g,n)={gn}, sorted entries:")
+    for midx, coeff in sorted(omega.tensors[gn].items())[:6]:
+        orderings = math.factorial(len(midx)) // math.prod(
+            math.factorial(c) for c in Counter(midx).values())
+        print(f"   {midx} x{orderings} -> {coeff:.6g}")
+print("\nstored entries:", {gn: len(t) for gn, t in omega.tensors.items()})
+print("records written by to_records:",
+      {gn: len(rows) for gn, rows in omega.to_records().items()})
 print("contour-quadrature cross-check:", omega.quadrature)
 
 table = build_table(params, 6, EllBounds())

@@ -623,12 +623,6 @@ class TSeries:
         return TSeries(self.order, [0] * min(s, self.order + 1)
                        + list(self.coeffs[: self.order + 1 - s]))
 
-    def valuation(self):
-        for k, c in enumerate(self.coeffs):
-            if not is_zero(c):
-                return k
-        return None
-
     def map_coeffs(self, f) -> "TSeries":
         return TSeries(self.order, [f(c) for c in self.coeffs])
 
@@ -869,10 +863,6 @@ class ZLaurent:
         else:
             raise RingDomainError("ZLaurent exp did not terminate on window")
         return acc
-
-    def derivative(self) -> "ZLaurent":
-        return ZLaurent(self.order, {
-            e - 1: ts.scale(e) for e, ts in self.coeffs.items() if e != 0})
 
     def eval_series(self, g: TSeries, ginv: TSeries | None = None) -> TSeries:
         """Evaluate at z = g; negative exponents use ginv = 1/g."""

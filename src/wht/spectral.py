@@ -118,10 +118,11 @@ def _system_rhs(colors, params: ModelParams, A, B, eta, theta, exp_weight):
             term = term.map_coeffs(lambda ts: ts.scale(qs).tshift(s))
             new_eta = new_eta + term
         for c in colors:
+            qu = qs * c.u
             cur = core.mul(invB[c.label], -D2, 0).zshift(s).project("ge")
-            cur = cur.map_coeffs(lambda ts: ts.scale(qs).tshift(s))
+            cur = cur.map_coeffs(lambda ts: ts.scale(qu).tshift(s))
             newA.setdefault(c.label, ZLaurent(T))
-            newA[c.label] = newA[c.label] + cur.scale(c.u)
+            newA[c.label] = newA[c.label] + cur
     for c in colors:
         newA[c.label] = one + newA.get(c.label, ZLaurent(T))
 
@@ -151,10 +152,11 @@ def _system_rhs(colors, params: ModelParams, A, B, eta, theta, exp_weight):
             term = term.map_coeffs(lambda ts: ts.scale(ps))
             new_theta = new_theta + term
         for c in colors:
+            pu = ps * c.u
             cur = core.mul(invA[c.label], 0, D1).zshift(-s).project("lt")
-            cur = cur.map_coeffs(lambda ts: ts.scale(ps))
+            cur = cur.map_coeffs(lambda ts: ts.scale(pu))
             newB.setdefault(c.label, ZLaurent(T))
-            newB[c.label] = newB[c.label] + cur.scale(c.u)
+            newB[c.label] = newB[c.label] + cur
     for c in colors:
         newB[c.label] = one + newB.get(c.label, ZLaurent(T))
 

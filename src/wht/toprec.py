@@ -10,11 +10,12 @@ differential is a finite combination of pure poles at the branchpoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dense import (
     horner, poly_shift, poly_sub, s_compose, s_diff, s_exp, s_inv, s_mul,
@@ -337,9 +338,11 @@ def local_data(curve: NumericCurve, i: int, depth: int) -> LocalData:
 
 
 class OmegaSet:
-    """Correlator differentials in pole-coefficient form: for each (g, n) a
-    dict mapping ordered multi-indices ((i1,k1),...,(in,kn)) to complex
-    coefficients of prod_j (z_j - b_{i_j})^(-k_j)."""
+    """Correlator differentials in pole-coefficient form.  Each is symmetric
+    in its n points, so for each (g, n) `tensors` maps only the sorted
+    multi-indices ((i1,k1) <= ... <= (in,kn)) to the complex coefficient
+    that every ordering of it carries, of prod_j (z_j - b_{i_j})^(-k_j).
+    `evaluate` and `to_records` expand the orderings when they run."""
 
     def __init__(self, curve: NumericCurve):
         self.curve = curve
@@ -357,8 +360,9 @@ class OmegaSet:
             val = 1.0 / (zs[0] - zs[1]) ** 2
             return (val, 1.0) if with_condition else val
         poles, coeff = _coo(self.tensors[(g, n)], n)
+        poles, src = _orderings(poles)
         bps = np.asarray(self.curve.branchpoints)
-        terms = coeff
+        terms = coeff[src]
         for (j, k), z in zip(poles.transpose(1, 2, 0), zs):
             terms = terms / (np.asarray(z)[..., None] - bps[j]) ** k
         total = terms.sum(axis=-1)
@@ -376,12 +380,14 @@ class OmegaSet:
                     for midx in self.tensors[(g, n)]), default=0)
 
     def to_records(self):
+        """Every ordering of every multi-index, ordered by multi-index."""
         out = {}
         for (g, n), tensor in sorted(self.tensors.items()):
+            poles, src = _orderings(_coo(tensor, n)[0])
+            vals = list(tensor.values())
             out[f"{g},{n}"] = [
-                {"multi_index": [list(p) for p in midx],
-                 "coeff": [val.real, val.imag]}
-                for midx, val in sorted(tensor.items())]
+                {"multi_index": midx, "coeff": [vals[e].real, vals[e].imag]}
+                for midx, e in sorted(zip(poles.tolist(), src.tolist()))]
         return out
 
 
@@ -390,6 +396,21 @@ def _coo(tensor: dict, n: int):
     and the entries' coefficients."""
     poles = np.array(list(tensor), dtype=np.int64).reshape(-1, n, 2)
     return poles, np.array(list(tensor.values()), dtype=complex)
+
+
+def _orderings(poles):
+    """Every distinct ordering of each sorted multi-index in poles (M, n, 2):
+    the permuted poles and the row each comes from.  Equal poles keep their
+    sorted order, so that each ordering occurs once."""
+    n = poles.shape[1]
+    same = (poles[:, 1:] == poles[:, :-1]).all(axis=2)
+    out, src = [], []
+    for perm in permutations(range(n)):
+        slot = np.argsort(perm)
+        rows = np.flatnonzero(~(same & (slot[:-1] > slot[1:])).any(axis=1))
+        out.append(poles[rows][:, perm])
+        src.append(rows)
+    return np.concatenate(out), np.concatenate(src)
 
 
 def _dependency_closure(targets):
@@ -433,45 +454,99 @@ def tr_compute(curve: NumericCurve, g_max: int, n_max: int,
     depth = 6 * g_max - 2 + 2 * (n_max + 2) + depth_margin
     locs = [local_data(curve, i, depth) for i in range(nb)]
     ops = [_BranchOperators(loc, curve.branchpoints) for loc in locs]
+    kc = ops[0].kc
     rho = max(abs(b) for b in curve.branchpoints)
     lower: dict = {}
     for g, n in steps:
-        parts = [op.residues(lower, g, n) for op in ops]
-        poles = np.concatenate([p[0] for p in parts])
-        vals = np.concatenate([p[1] for p in parts])
-        mags = np.concatenate([p[2] for p in parts])
-        keep = _nonzero(poles, vals, rho)
-        poles, vals, mags = poles[keep], vals[keep], mags[keep]
+        first, spect, vals, mags = (
+            np.concatenate(part) for part in zip(*(op.residues(lower, g, n)
+                                                   for op in ops)))
+        orders = np.concatenate([first[:, None], spect], axis=1) % kc
+        keep = _nonzero(orders.sum(axis=1), vals, rho)
+        first, spect, vals, mags = first[keep], spect[keep], vals[keep], mags[keep]
         bound = 6 * g - 4 + 2 * n
-        orders = poles[..., 1]
+        orders = orders[keep]
         if orders.size and (orders.max() > bound or orders.min() < 2):
             raise RingUsageError(
                 f"pole order outside [2, {bound}] at (g,n)=({g},{n})")
-        tensor, asym = _symmetrize(poles, vals, rho)
-        omega.tensors[(g, n)] = tensor
+        codes, coeff, asym = _symmetrize(first, spect, vals, rho, kc)
+        j, k = np.divmod(codes, kc)
+        omega.tensors[(g, n)] = {
+            tuple(zip(jr, kr)): complex(v)
+            for jr, kr, v in zip(j.tolist(), k.tolist(), coeff)}
         omega.asymmetry[(g, n)] = asym
         # residue-extraction amplification: the output coefficients keep
         # about 16 - log10(condition) correct digits
         omega.condition[(g, n)] = float(
             max(1.0, (mags / np.abs(vals)).max(initial=1.0)))
-        lower[(g, n)] = _coo(tensor, n)
+        lower[(g, n)] = _SortedTensor(codes, coeff)
     if quadrature_check:
         omega.quadrature = {(g, n): residue_quadrature_check(omega, locs, g, n)
                             for (g, n) in omega.tensors}
     return omega
 
 
+class _SortedTensor:
+    """A symmetric tensor on its sorted multi-indices, as pole codes
+    j * kc + k ascending along each row, with the rows the recursion bracket
+    reads from it, built on first use.  A row fixes the first slot (or the
+    first two) and keeps the other slots sorted, once per distinct choice;
+    its coefficient is divided by the number of orderings of those other
+    slots, which the bracket multiplies back per spectator key."""
+
+    def __init__(self, codes, coeff):
+        self.codes, self.coeff = codes, coeff
+
+    @cached_property
+    def first(self):
+        head, rest, src = _peel(self.codes)
+        return head, rest, self.coeff[src] / _stab(rest)
+
+    @cached_property
+    def first_two(self):
+        a, rest, src = _peel(self.codes)
+        b, rest, src2 = _peel(rest)
+        return a[src2], b, rest, self.coeff[src[src2]] / _stab(rest)
+
+
+def _peel(codes):
+    """Each distinct value of each sorted row as a head, with the row's
+    other values (still sorted) and the row's index."""
+    heads, rests, srcs = [], [], []
+    for p in range(codes.shape[1]):
+        src = (np.arange(len(codes)) if p == 0
+               else np.flatnonzero(codes[:, p] != codes[:, p - 1]))
+        heads.append(codes[src, p])
+        rests.append(np.delete(codes[src], p, axis=1))
+        srcs.append(src)
+    return np.concatenate(heads), np.concatenate(rests), np.concatenate(srcs)
+
+
+def _stab(codes):
+    """Number of orderings of each sorted row that leave it unchanged: the
+    product of the factorials of its multiplicities."""
+    run = np.ones(len(codes))
+    stab = np.ones(len(codes))
+    for p in range(1, codes.shape[1]):
+        run = np.where(codes[:, p] == codes[:, p - 1], run + 1, 1)
+        stab *= run
+    return stab
+
+
 class _BranchOperators:
     """The operators of the recursion at one branchpoint b_i, in the local
     coordinate z = b_i + w, for local data of depth L.  Laurent series are
     arrays over the exponents -Q..Q, Q = L - 2 (column Q holds w^0); no step
-    reads past exponent Q.
+    reads past exponent Q.  Poles (j, k) are coded j * kc + k, kc = Q + 3,
+    above every pole order a step can reach.
 
     u: the first bracket slot at z: rows j * Q + k - 1 hold the pole
        1/(z - b_j)^k (k = 1..Q), rows nb * Q + m the omega_{0,2} expansion
-       row (m + 1) w^m, whose spectator is the pole (i, m + 2).
-    v: the same basis at sigma(z) = b_i + s(w), times s'(w).
-    w02: omega_{0,2}(z, sigma(z)) s'(w) = s'(w) / (w - s(w))^2.
+       row (m + 1) w^m, whose spectator is the pole (i, m + 2), and the last
+       row the unit w^0.
+    v: the same basis at sigma(z) = b_i + s(w), times s'(w); the last row is
+       omega_{0,2}(z, sigma(z)) s'(w) = s'(w) / (w - s(w))^2, so that its
+       pair with the unit is the omega_{0,2} bracket term.
     kernel[k - 1, x + 1] = [w^x] (w^k - s(w)^k) / (2 kernel_den(w)), the
        residue weight of the output pole (i, k + 1), for x = -1..Q-1.
     """
@@ -481,8 +556,8 @@ class _BranchOperators:
         Q = L - 2
         nb = len(bps)
         i, s = loc.index, loc.s
-        self.index, self.nb, self.Q = i, nb, Q
-        u = np.zeros((nb * Q + Q + 1, 2 * Q + 1), dtype=complex)
+        self.index, self.nb, self.Q, self.kc = i, nb, Q, Q + 3
+        u = np.zeros((nb * Q + Q + 2, 2 * Q + 1), dtype=complex)
         v = np.zeros_like(u)
         for j, bj in enumerate(bps):
             if j == i:
@@ -510,6 +585,7 @@ class _BranchOperators:
             u[nb * Q + m, Q + m] = m + 1
             v[nb * Q + m, Q:] = (m + 1) * spow
             spow = s_mul(spow, s[:Q + 1])
+        u[-1, Q] = 1.0
         # times s'(w): a lower-triangular Toeplitz matrix over the exponents
         lag = np.subtract.outer(np.arange(2 * Q + 1), np.arange(2 * Q + 1))
         sp = loc.sp[np.clip(lag, 0, Q)]
@@ -517,8 +593,7 @@ class _BranchOperators:
         self.v = np.einsum('ry,xy->rx', v, np.where((lag >= 0) & (lag <= Q), sp, 0))
         diff = wseries(L) - s
         w02 = s_mul(loc.sp[:L - 1], s_inv(s_mul(diff[1:], diff[1:])))
-        self.w02 = np.zeros(2 * Q + 1, dtype=complex)
-        self.w02[Q - 2:2 * Q - 1] = w02
+        self.v[-1, Q - 2:2 * Q - 1] = w02
         den_inv = s_inv(loc.kernel_den[2:L])
         self.kernel = np.zeros((Q + 1, Q + 1), dtype=complex)
         spow = np.zeros(L, dtype=complex)
@@ -530,11 +605,16 @@ class _BranchOperators:
             self.kernel[k - 1] = 0.5 * np.convolve(num, den_inv)[1:Q + 2]
 
     def residues(self, lower: dict, g: int, n: int):
-        """This branchpoint's share of the step (g, n): the pole multi-
-        indices (M, n, 2) of the nonzero entries, their values, and the sums
-        of the absolute values of the terms that make up each value."""
-        i, nb, Q = self.index, self.nb, self.Q
+        """This branchpoint's share of the step (g, n), one entry per output
+        pole (i, k) and sorted spectator key with a nonzero value: the code
+        of (i, k), the spectator codes, the value, and the sum of the
+        absolute values of the terms that make up the value."""
+        i, nb, Q, kc = self.index, self.nb, self.Q, self.kc
         terms = _bracket_terms(g, n)
+
+        def own(codes):
+            return np.where(codes // kc == i, codes % kc, 0)
+
         # the deepest pole order among first slots fixes the basis size; the
         # lowest exponent any bracket term reaches fixes the window [-P, 0]
         kst, P = 1, 0
@@ -542,170 +622,159 @@ class _BranchOperators:
             if term == "w02":
                 P = max(P, 2)
                 continue
+            gns = [gn for gn in term[1:] if gn != (0, 2)]
+            for gn in gns:
+                kst = max(kst, int((lower[gn].codes % kc).max(initial=0)))
             if term[0] == "lower":
-                poles = lower[term[1]][0]
-                kst = max(kst, poles[:, :2, 1].max(initial=0))
-                own = np.where(poles[:, :2, 0] == i, poles[:, :2, 1], 0)
-                P = max(P, own.sum(axis=1).max(initial=0))
-                continue
-            depth = 0
-            for gn in term[1:3]:
-                if gn == (0, 2):
-                    continue
-                poles = lower[gn][0]
-                kst = max(kst, poles[:, 0, 1].max(initial=0))
-                depth += np.where(poles[:, 0, 0] == i, poles[:, 0, 1], 0).max(initial=0)
-            P = max(P, depth)
+                a, b, _, _ = lower[term[1]].first_two
+                P = max(P, int((own(a) + own(b)).max(initial=0)))
+            else:
+                P = max(P, sum(int(own(lower[gn].codes).max(initial=0))
+                               for gn in gns))
         if P > 6 * g + 2 * n + 1 or P >= Q:
             raise RingUsageError(
                 f"pole depth overflow in recursion step (g,n)=({g},{n})")
-        kst, W = int(kst), P + 1
+        W = P + 1
 
-        def index(poles):
-            return poles[..., 0] * kst + poles[..., 1] - 1
-
-        sel = np.concatenate([j * Q + np.arange(kst) for j in range(nb)]
-                             + [nb * Q + np.arange(W)])
-        nv = len(sel)
-        # pair products pb[a * nv + b, e + P] = [w^e] u_a v_b, e = -P..0,
-        # and last the omega_{0,2}(z, sigma(z)) bracket
-        us = self.u[sel, Q - P:Q + P + 1]
-        vs = np.append(self.v[sel, Q - P:Q + P + 1], np.zeros((nv, 1)), axis=1)
-        lag = np.subtract.outer(np.arange(W), np.arange(2 * P + 1)) + P
-        toe = vs[:, np.where((lag >= 0) & (lag <= 2 * P), lag, 2 * P + 1)]
-        # einsum rather than matmul: the products are small, and a first
-        # BLAS call would make resident about 1.2 MB of work buffers
-        pb = np.einsum('ax,bex->abe', us, toe).reshape(nv * nv, W)
-        pb = np.append(pb, self.w02[None, Q - P:Q + 1], axis=0).T.copy()
-
-        # spectator poles as codes j * kc + k; every order here is below kc
-        kc = Q + 3
+        def index(codes):
+            return codes // kc * kst + codes % kc - 1
 
         def rows(gn):
-            """(basis index, spectator codes, coefficient) of the rows of one
-            factor whose first slot is the integration point."""
+            """(basis index, sorted spectator codes, coefficient) of the rows
+            of one factor whose first slot is the integration point."""
             if gn == (0, 2):
                 m = np.arange(W)
                 return nb * kst + m, (i * kc + m + 2)[:, None], np.ones(W, dtype=complex)
-            poles, coeff = lower[gn]
-            return index(poles[:, 0]), poles[:, 1:, 0] * kc + poles[:, 1:, 1], coeff
+            head, rest, coef = lower[gn].first
+            return index(head), rest, coef
 
+        # the basis rows the step reads; the last is the unit / omega_{0,2}
+        sel = np.concatenate([j * Q + np.arange(kst) for j in range(nb)]
+                             + [nb * Q + np.arange(W), [nb * Q + Q + 1]])
+        nv = len(sel)
         pairs, spects, coefs = [], [], []
         for term in terms:
             if term == "w02":
-                pairs.append(np.array([nv * nv]))
+                pairs.append(np.array([nv * nv - 1]))
                 spects.append(np.zeros((1, 0), dtype=np.int64))
                 coefs.append(np.ones(1, dtype=complex))
             elif term[0] == "lower":
-                poles, coeff = lower[term[1]]
-                pairs.append(index(poles[:, 0]) * nv + index(poles[:, 1]))
-                spects.append(poles[:, 2:, 0] * kc + poles[:, 2:, 1])
-                coefs.append(coeff)
+                a, b, rest, coef = lower[term[1]].first_two
+                pairs.append(index(a) * nv + index(b))
+                spects.append(rest)
+                coefs.append(coef)
             else:
-                _, gn1, gn2, C, Cp = term
-                a, s1, c1 = rows(gn1)
-                b, s2, c2 = rows(gn2)
+                a, s1, c1 = rows(term[1])
+                b, s2, c2 = rows(term[2])
                 n1, n2 = len(a), len(b)
                 pairs.append((a[:, None] * nv + b[None, :]).ravel())
                 coefs.append((c1[:, None] * c2[None, :]).ravel())
-                spect = np.empty((n1 * n2, n - 1), dtype=np.int64)
-                spect[:, list(C)] = np.repeat(s1, n2, axis=0)
-                spect[:, list(Cp)] = np.tile(s2, (n1, 1))
+                # the sorted merge of the two spectator sets stands for the
+                # stab(key) / (stab(s1) stab(s2)) subsets of the key's slots
+                # that hold s1: the rows carry the division, E the product
+                spect = np.concatenate([np.repeat(s1, n2, axis=0),
+                                        np.tile(s2, (n1, 1))], axis=1)
+                spect.sort(axis=1)
                 spects.append(spect)
-        pair = np.concatenate(pairs)
+        pair, pinv = np.unique(np.concatenate(pairs), return_inverse=True)
         coef = np.concatenate(coefs)
         spect = np.concatenate(spects)
         first, row = _group_rows(spect, nb * kc)
         keys = spect[first]
         nrow = len(keys)
+
+        # pair products pb[e + P, p] = [w^e] u_a v_b, e = -P..0, of the pairs
+        # p = a * nv + b that occur, from both series on [-P, P]: against
+        # u_a read from exponent P down, the window view reads v_b from
+        # exponent e - P up, and the zeros in front of v_b stand for its
+        # exponents below -P
+        a, b = np.divmod(pair, nv)
+        us = self.u[sel[a], Q - P:Q + P + 1][:, ::-1]
+        vs = np.concatenate([np.zeros((len(pair), P)),
+                             self.v[sel[b], Q - P:Q + P + 1]], axis=1)
+        # einsum rather than matmul: the products are small, and a first
+        # BLAS call would make resident about 1.2 MB of work buffers
+        pb = np.einsum('px,pex->ep', us,
+                       sliding_window_view(vs, 2 * P + 1, axis=1)[:, :W])
+
         # the bracket: one row per spectator key, one column per exponent
         E = np.empty((nrow, W), dtype=complex)
         for e in range(W):
-            part = coef * pb[e][pair]
+            part = coef * pb[e][pinv]
             E[:, e] = (np.bincount(row, part.real, nrow)
                        + 1j * np.bincount(row, part.imag, nrow))
+        E *= _stab(keys)[:, None]     # see _SortedTensor and the split merge
         R = self.kernel[:W, P::-1]
         vals = np.einsum('re,ke->rk', E, R)
         mags = np.einsum('re,ke->rk', np.abs(E), np.abs(R))
         r, k = np.nonzero(vals)
-        poles = np.empty((len(r), n, 2), dtype=np.int64)
-        poles[:, 0, 0] = i
-        poles[:, 0, 1] = k + 2
-        poles[:, 1:, 0], poles[:, 1:, 1] = np.divmod(keys[r], kc)
-        return poles, vals[r, k], mags[r, k]
+        return i * kc + k + 2, keys[r], vals[r, k], mags[r, k]
 
 
 def _group_rows(codes, base):
-    """Rows of equal code tuples: the index of one member of each group, in
-    lexicographic order of the tuples, and each row's group.  Refines the
-    grouping column by column, so that no key exceeds len(codes) * base."""
-    group = np.zeros(len(codes), dtype=np.int64)
-    first = np.zeros(min(len(codes), 1), dtype=np.int64)
+    """Rows of equal code tuples (codes below base): the index of one member
+    of each group, in lexicographic order of the tuples, and each row's
+    group.  The columns are packed into one int64 key, re-ranked only where
+    one more column would overflow it."""
+    key = np.zeros(len(codes), dtype=np.int64)
+    span = 1
     for col in codes.T:
-        _, first, group = np.unique(group * base + col, return_index=True,
-                                    return_inverse=True)
+        if span * base >= 2 ** 62:
+            _, key = np.unique(key, return_inverse=True)
+            span = len(codes)
+        key = key * base + col
+        span *= base
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
     return first, group
 
 
 def _bracket_terms(g: int, n: int):
     """The terms of the recursion bracket of step (g, n): "w02" for
     omega_{0,2}(z, sigma(z)), ("lower", (g-1, n+1)), and
-    ("split", (h, 1+|C|), (g-h, 1+|C'|), C, C') for each stable splitting of
-    the spectator slots 0..n-2 into C and C' (the one-point factors
-    excluded)."""
+    ("split", (h, 1+c), (g-h, n-c)) for each stable splitting that gives c of
+    the n - 1 spectators to the factor at z (the one-point factors
+    excluded); a split stands for its sum over the c-subsets of the
+    spectator slots."""
     terms = []
     if g >= 1:
         terms.append("w02" if (g - 1, n + 1) == (0, 2) else ("lower", (g - 1, n + 1)))
-    slots = range(n - 1)
     for h in range(g + 1):
-        for size in range(n):
-            for C in combinations(slots, size):
-                Cp = tuple(x for x in slots if x not in C)
-                if (h, len(C)) == (0, 0) or (h, len(Cp)) == (g, 0):
-                    continue
-                terms.append(("split", (h, 1 + len(C)), (g - h, 1 + len(Cp)), C, Cp))
+        for c in range(n):
+            if (h, c) == (0, 0) or (h, n - 1 - c) == (g, 0):
+                continue
+            terms.append(("split", (h, 1 + c), (g - h, n - c)))
     return terms
 
 
-def _nonzero(poles, vals, rho):
+def _nonzero(order, vals, rho):
     """Mask of the entries that are not numerically zero.  A coefficient of
     total pole order K scales like rho^K (rho the largest |b_i|), so entries
     are compared after dividing by that scale: raw magnitudes span more
     decades than double precision holds, and a cut on them drops real
     low-order coefficients."""
-    size = np.abs(vals) / rho ** poles[..., 1].sum(axis=-1).astype(float)
+    size = np.abs(vals) / rho ** order.astype(float)
     return size > 1e-13 * size.max(initial=0.0)
 
 
-def _symmetrize(poles, vals, rho):
-    """Average the entries over the orderings of each multi-index: the
-    symmetric tensor as a dict of every ordering, and the largest deviation
-    of an entry from its average relative to the largest average."""
-    n = poles.shape[1]
-    order_cap = int(poles[..., 1].max(initial=0)) + 1
-    codes = np.sort(poles[..., 0] * order_cap + poles[..., 1], axis=1)
-    first, inv = _group_rows(codes, int(codes.max(initial=0)) + 1)
-    groups = codes[first]
-    sums = (np.bincount(inv, vals.real, len(groups))
-            + 1j * np.bincount(inv, vals.imag, len(groups)))
-    # orderings of a multi-index: n! / prod(mult!); the running count of
-    # equal neighbours multiplies up to prod(mult!)
-    run = np.ones(len(groups))
-    stab = np.ones(len(groups))
-    for p in range(1, n):
-        run = np.where(groups[:, p] == groups[:, p - 1], run + 1, 1)
-        stab *= run
-    avg = sums * stab / math.factorial(n)
+def _symmetrize(first, spect, vals, rho, kc):
+    """Average the rows of a step over the orderings of each multi-index.  A
+    row fixes slot 0 (code first) and sorts its spectators, and the bracket
+    is symmetric in the spectators by construction, so each distinct slot-0
+    choice stands for the share multiplicity / n of the orderings.  Returns
+    the sorted codes and averages of the entries that are not numerically
+    zero, and the largest deviation of a row from its average relative to
+    the largest average: the symmetry of slot 0 against the spectators."""
+    n = spect.shape[1] + 1
+    full = np.sort(np.concatenate([first[:, None], spect], axis=1), axis=1)
+    head, inv = _group_rows(full, int(full.max(initial=0)) + 1)
+    codes = full[head]
+    weight = (1 + (spect == first[:, None]).sum(axis=1)) / n
+    avg = (np.bincount(inv, weight * vals.real, len(codes))
+           + 1j * np.bincount(inv, weight * vals.imag, len(codes)))
     scale = np.abs(avg).max(initial=0.0) or 1.0
     asym = float(np.abs(vals - avg[inv]).max(initial=0.0) / scale)
-    pairs = np.stack([groups // order_cap, groups % order_cap], axis=-1)
-    keep = _nonzero(pairs, avg, rho)
-    tensor: dict = {}
-    for key, val in zip(pairs[keep].tolist(), avg[keep]):
-        midx = tuple(map(tuple, key))
-        for perm in sorted(set(permutations(midx))):
-            tensor[perm] = complex(val)
-    return tensor, asym
+    keep = _nonzero((codes % kc).sum(axis=1), avg, rho)
+    return codes[keep], avg[keep], asym
 
 
 # ---------------------------------------------------------------------------
@@ -741,9 +810,11 @@ def residue_quadrature_check(omega: OmegaSet, locs, g, n, n_points: int = 400):
                 elif term[0] == "lower":
                     br = br + omega.evaluate(*term[1], [z, sig, *zs[1:]])
                 else:
-                    _, gn1, gn2, C, Cp = term
-                    br = br + (omega.evaluate(*gn1, [z] + [zs[1 + c] for c in C])
-                               * omega.evaluate(*gn2, [sig] + [zs[1 + c] for c in Cp]))
+                    _, gn1, gn2 = term
+                    for C in combinations(range(n - 1), gn1[1] - 1):
+                        Cp = [x for x in range(n - 1) if x not in C]
+                        br = br + (omega.evaluate(*gn1, [z] + [zs[1 + c] for c in C])
+                                   * omega.evaluate(*gn2, [sig] + [zs[1 + c] for c in Cp]))
             K = _kernel_value(curve, loc, zs[0], z, sig)
             # (1 / 2 pi i) * sum over the circle of K * bracket * s' dz
             total += np.sum(K * br * horner(loc.sp, w) * w) / n_points

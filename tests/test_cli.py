@@ -197,6 +197,17 @@ def test_tr_command_runs(tmp_path):
     assert min(payload["condition"].values()) >= 1.0
 
 
+def test_tr_output_is_byte_identical(tmp_path):
+    data = json.loads(json.dumps(BASE_CFG))
+    data["output"]["dir"] = str(tmp_path / "out")
+    path = write_cfg(tmp_path, data)
+    omega_json = tmp_path / "out" / "omega.json"
+    assert cli.main(["tr", "--config", path]) == 0
+    first = omega_json.read_bytes()
+    assert cli.main(["tr", "--config", path]) == 0
+    assert omega_json.read_bytes() == first
+
+
 def test_curve_export_exponential_blocks(tmp_path):
     data = json.loads(json.dumps(BASE_CFG))
     data["model"]["u_exp"] = "1/4"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from wht.ring import RingUsageError
 from wht.spectral import initial_ramification, solve_system
 from wht.toprec import (
     alpha0_curve, compare_oracle, instantiate_curve, local_data, tr_compute,
-    _kernel_value,
+    _group_rows, _kernel_value,
 )
 
 
@@ -186,15 +187,39 @@ def test_symmetry_tensors(omega10):
     assert max(omega10.asymmetry.values()) < 1e-9
 
 
-def test_symmetry_by_evaluation(omega10):
+def test_symmetry_by_evaluation(curve10, omega10):
+    # the tensors hold sorted multi-indices only, and evaluate expands them;
+    # points at the branchpoints' scale keep the pole sums well conditioned
+    scale = max(abs(b) for b in curve10.branchpoints)
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        zs = tuple((3 + 4 * rng.random()) * np.exp(2j * np.pi * rng.random())
-                   for _ in range(3))
-        base = omega10.evaluate(0, 3, zs)
-        for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
-            v = omega10.evaluate(0, 3, tuple(zs[i] for i in perm))
-            assert abs(v - base) / abs(base) < 1e-9
+    for g, n in ((0, 3), (0, 4), (1, 3)):
+        for _ in range(5):
+            zs = tuple(scale * (1.5 + 2 * rng.random())
+                       * np.exp(2j * np.pi * rng.random()) for _ in range(n))
+            base = omega10.evaluate(g, n, zs)
+            for perm in permutations(range(n)):
+                v = omega10.evaluate(g, n, tuple(zs[i] for i in perm))
+                assert abs(v - base) / abs(base) < 1e-12
+
+
+@pytest.mark.parametrize("box, stored, records", [
+    ((2, 3), 710, 3814), ((2, 4), 2267, 36528)])
+def test_sorted_storage_expands_in_records(curve10, box, stored, records):
+    omega = tr_compute(curve10, *box)
+    assert all(list(midx) == sorted(midx)
+               for tensor in omega.tensors.values() for midx in tensor)
+    assert sum(map(len, omega.tensors.values())) == stored
+    recs = omega.to_records()
+    assert sum(map(len, recs.values())) == records
+    for (g, n), tensor in omega.tensors.items():
+        rows = recs[f"{g},{n}"]
+        # every ordering of every multi-index once, in the order of the
+        # ordered multi-indices, each with its multi-index's coefficient
+        assert [tuple(map(tuple, r["multi_index"])) for r in rows] == sorted(
+            {p for midx in tensor for p in permutations(midx)})
+        for r in rows:
+            val = tensor[tuple(sorted(map(tuple, r["multi_index"])))]
+            assert r["coeff"] == [val.real, val.imag]
 
 
 def test_universal_three_point_coefficient(curve10, omega10):
@@ -205,6 +230,18 @@ def test_universal_three_point_coefficient(curve10, omega10):
         closed = -1.0 / (ys[1] * 2 * xs[2])
         got = omega10.tensors[(0, 3)][((i, 2), (i, 2), (i, 2))]
         assert abs(got - closed) / abs(closed) < 1e-10
+
+
+@pytest.mark.parametrize("base", [7, 2 ** 40])
+def test_group_rows_matches_lexicographic_unique(base):
+    # with base 2^40 three columns overflow one int64 key, and the grouping
+    # re-ranks the packed key before the third column
+    rng = np.random.default_rng(2)
+    codes = rng.integers(0, 3, size=(200, 3)) * (base // 3)
+    first, group = _group_rows(codes, base)
+    uniq, inv = np.unique(codes, axis=0, return_inverse=True)
+    assert (codes[first] == uniq).all()
+    assert (group == inv.ravel()).all()
 
 
 def test_residue_depth_robustness():
