@@ -22,7 +22,11 @@ per term product:
   denominator per operand (``_Terms``) and accumulate ``{monomial: int}``
   per output order; the growing rows of ``invert`` and ``log`` keep their
   own reduced denominators;
-* ``MPoly.__mul__`` accumulates ``{monomial: int}`` for one pair.
+* ``MPoly.__mul__`` accumulates ``{monomial: int}`` for one pair;
+* ``ZStream`` computes a Laurent block one t^k slice at a time: a slice is
+  one row of (code, numerator) pairs over one reduced denominator, the
+  z-exponent in the top place of the code, and each product, inverse or
+  exponential slice is one accumulation over the slices below it.
 
 An output coefficient is an ``int`` when no operand holds a ``Fraction``,
 and a scalar zero is the int 0; ``invert`` and ``log`` return Fractions.  As
@@ -35,7 +39,7 @@ still multiply pair by pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, inf, lcm
 from operator import mul
 
 
@@ -355,16 +359,24 @@ class _Terms:
     of the call in sorted order; any exponent below 2^63 in size decodes
     uniquely, and the code of a product of monomials is the sum of their
     codes.  A row lists the (code, numerator) pairs of one coefficient and is
-    empty for a zero.
+    empty for a zero.  A `ZStream` slice holds a whole Laurent polynomial in
+    z in one row: the z-exponent e adds e * 2^zbits to the code, above every
+    name's place, and `exponent` reads it back.
     """
 
-    __slots__ = ("names", "weight")
+    __slots__ = ("names", "weight", "zbits", "zhalf")
 
     def __init__(self, cs):
         """`cs`: every coefficient the call reads, to fix the names."""
         self.names = sorted({n for c in cs if type(c) is MPoly
                              for m in c.terms for n, _ in m})
         self.weight = {n: 1 << (64 * k) for k, n in enumerate(self.names)}
+        self.zbits = 64 * len(self.names)
+        self.zhalf = (1 << self.zbits) >> 1
+
+    def exponent(self, code: int) -> int:
+        """The z-exponent of a slice code."""
+        return (code + self.zhalf) >> self.zbits
 
     def rows(self, cs):
         """(rows, D, frac, polys): c_i == sum of numerator * monomial over
@@ -621,7 +633,7 @@ class TSeries:
         if s < 0:
             raise RingUsageError("tshift needs s >= 0")
         return TSeries(self.order, [0] * min(s, self.order + 1)
-                       + list(self.coeffs[: self.order + 1 - s]))
+                       + list(self.coeffs[: max(self.order + 1 - s, 0)]))
 
     def map_coeffs(self, f) -> "TSeries":
         return TSeries(self.order, [f(c) for c in self.coeffs])
@@ -811,18 +823,12 @@ class ZLaurent:
         }[mode]
         return ZLaurent(self.order, {e: ts for e, ts in self.coeffs.items() if keep(e)})
 
+    def tshift(self, s: int) -> "ZLaurent":
+        """Multiply by t^s (coefficients beyond the order are dropped)."""
+        return ZLaurent(self.order, {e: ts.tshift(s) for e, ts in self.coeffs.items()})
+
     def power(self, n: int, lo=None, hi=None) -> "ZLaurent":
-        if n < 0:
-            raise RingDomainError("negative power; use invert")
-        result = ZLaurent.const(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base, lo, hi)
-            n >>= 1
-            if n:
-                base = base.mul(base, lo, hi)
-        return result
+        return _power(self, n, lo, hi, ZLaurent.const(self.order, 1))
 
     def invert(self, lo: int, hi: int) -> "ZLaurent":
         """Inverse on the window [lo, hi].
@@ -909,3 +915,340 @@ class ZLaurent:
         bits = [f"z^{e}: {ts!r}" for e, ts in sorted(self.coeffs.items())]
         return "ZLaurent{" + "; ".join(bits) + "}"
 
+
+def _power(x, n: int, lo, hi, one):
+    """x^n by binary powering, every product clipped to [lo, hi]."""
+    if n < 0:
+        raise RingDomainError("negative power; use invert")
+    result, base = one, x
+    while n:
+        if n & 1:
+            result = result.mul(base, lo, hi)
+        n >>= 1
+        if n:
+            base = base.mul(base, lo, hi)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Laurent blocks computed order by order in t
+
+
+class _Slice:
+    """The t^k coefficient of a `ZStream` block: the terms of all its
+    z-exponents in one row of (code, numerator) pairs (`_Terms`) over one
+    denominator den > 0.  `kinds` maps each z-exponent present to the type
+    the ZLaurent operations give its coefficient: 0 int, 1 Fraction, 2 MPoly;
+    an absent exponent is the int 0, a present one without terms a Fraction
+    or MPoly zero.  `polys` lists the exponents of nonzero MPoly
+    coefficients."""
+
+    __slots__ = ("row", "den", "kinds", "polys")
+
+    def __init__(self, K, row, den, kinds):
+        self.row, self.den, self.kinds = row, den, kinds
+        self.polys = ()
+        if 2 in kinds.values():
+            es = _exponents(K, row)
+            self.polys = tuple(e for e, t in kinds.items() if t == 2 and e in es)
+
+
+_EMPTY = _Slice(None, [], 1, {})
+
+
+def _exponents(K, row) -> dict:
+    """The z-exponents of a row, in order of first appearance."""
+    zb, zh = K.zbits, K.zhalf
+    return dict.fromkeys((p + zh) >> zb for p, _ in row)
+
+
+def _reduced(K, row, den, kinds) -> _Slice:
+    g = gcd(den, *(n for _, n in row))
+    if g > 1:
+        row, den = [(p, n // g) for p, n in row], den // g
+    return _Slice(K, row, den, kinds)
+
+
+def _const_slice(K, c) -> _Slice:
+    if is_zero(c):
+        return _EMPTY
+    rows, den, _, _ = K.rows([c])
+    return _Slice(K, rows[0], den, {0: 2 if type(c) is MPoly else int(type(c) is Fraction)})
+
+
+def _products(K, pairs, lo, hi, den: int = 1) -> _Slice:
+    """The slice (sum of w x y over the (x, y, w) slice pairs) / den, clipped
+    to the z-window [lo, hi] (None: unbounded).  As in `TSeries.__mul__`, a
+    coefficient is an MPoly when a product of two nonzero coefficients, one
+    of them an MPoly, entered it; otherwise a nonzero one is a Fraction."""
+    pairs = [(x, y, w) for x, y, w in pairs if x.row and y.row]
+    if not pairs:
+        return _EMPTY
+    L = 1
+    for x, y, _ in pairs:
+        d = x.den * y.den
+        if L % d:
+            L = lcm(L, d)
+    acc: dict = {}
+    for x, y, w in pairs:
+        f = w * (L // (x.den * y.den))
+        yrow = y.row
+        for i, n in x.row:
+            n *= f
+            for j, m in yrow:
+                p = i + j
+                acc[p] = acc.get(p, 0) + n * m
+    lo = -inf if lo is None else lo
+    hi = inf if hi is None else hi
+    zb, zh = K.zbits, K.zhalf
+    row = [(p, n) for p, n in acc.items() if n and lo <= (p + zh) >> zb <= hi]
+    kinds = dict.fromkeys(_exponents(K, row), 1)
+    for x, y, _ in pairs:
+        if x.polys or y.polys:
+            for a, b in ((x, y), (y, x)):
+                for e in a.polys:
+                    for e2 in _exponents(K, b.row):
+                        if lo <= e + e2 <= hi:
+                            kinds[e + e2] = 2
+    return _reduced(K, row, L * den, kinds)
+
+
+def _add(K, x: _Slice, y: _Slice) -> _Slice:
+    """x + y; a coefficient takes the wider type of its two terms."""
+    if not y.kinds:
+        return x
+    if not x.kinds:
+        return y
+    L = lcm(x.den, y.den)
+    fx, fy = L // x.den, L // y.den
+    acc = {p: n * fx for p, n in x.row}
+    for p, n in y.row:
+        acc[p] = acc.get(p, 0) + n * fy
+    row = [(p, n) for p, n in acc.items() if n]
+    kinds = dict(x.kinds)
+    for e, t in y.kinds.items():
+        kinds[e] = max(kinds.get(e, 0), t)
+    es = _exponents(K, row)
+    return _reduced(K, row, L, {e: t for e, t in kinds.items() if t or e in es})
+
+
+def _scaled_slice(K, x: _Slice, c: _Slice) -> _Slice:
+    """x times the nonzero constant c, typed as `TSeries.scale` types it."""
+    out = _products(K, [(x, c, 1)], None, None)
+    ck = c.kinds[0]
+    return _Slice(K, out.row, out.den, {e: max(ck, x.kinds[e]) for e in out.kinds})
+
+
+def _clip(K, x: _Slice, lo, hi) -> _Slice:
+    lo = -inf if lo is None else lo
+    hi = inf if hi is None else hi
+    zb, zh = K.zbits, K.zhalf
+    return _reduced(K, [(p, n) for p, n in x.row if lo <= (p + zh) >> zb <= hi], x.den,
+                    {e: t for e, t in x.kinds.items() if lo <= e <= hi})
+
+
+def _zshift(K, x: _Slice, s: int) -> _Slice:
+    d = s << K.zbits
+    return _Slice(K, [(p + d, n) for p, n in x.row], x.den,
+                  {e + s: t for e, t in x.kinds.items()})
+
+
+def _window_inverse(K, f: _Slice, lo, hi) -> _Slice:
+    """1/f on the z-window [lo, hi] for a z-polynomial f = f_0 + (negative
+    exponents) with an invertible constant f_0: f_0^-1 sum_m (1 - f/f_0)^m,
+    whose m-th term has exponents <= -m."""
+    at0 = [(p, n) for p, n in f.row if K.exponent(p) >= 0]
+    if len(at0) != 1 or at0[0][0] != 0:
+        raise RingDomainError(
+            "ZLaurent inversion needs a unit z^0 term and no positive exponent at t^0")
+    n0 = at0[0][1]
+    sign = 1 if n0 > 0 else -1
+    step = _Slice(K, [(p, -sign * n) for p, n in f.row if p], abs(n0),
+                  {e: t for e, t in f.kinds.items() if e})
+    inv0 = _Slice(K, [(0, sign * f.den)], abs(n0), {0: f.kinds[0]})
+    terms = [_Slice(K, [(0, 1)], 1, {0: 0})]
+    while True:
+        term = _products(K, [(terms[-1], step, 1)], lo, hi)
+        if not term.row:
+            return _products(K, [(t, inv0, 1) for t in terms], lo, hi)
+        terms.append(term)
+
+
+def _window_exp(K, f: _Slice, lo, hi) -> _Slice:
+    """exp f on the z-window [lo, hi]: sum_m f^m / m!, which must end on it."""
+    out = term = _Slice(K, [(0, 1)], 1, {0: 0})
+    for m in range(1, hi - lo + 2):
+        term = _products(K, [(term, f, 1)], lo, hi, m)
+        if not term.row:
+            return out
+        out = _add(K, out, term)
+    raise RingDomainError("ZLaurent exp did not terminate on window")
+
+
+class ZStream:
+    """A Laurent block in z over t-series truncated at `order`, computed one
+    t^k slice at a time.  `slice(k)` computes slice k once, from the slices
+    of its operands up to order k, and below k through `tshift(s)`, s >= 1.
+
+    A block has the ZLaurent operations that the spectral system uses, each
+    returning a new block, so that one statement of a system runs over
+    either type.  An `unknown` block receives its slices from `feed`: a
+    system X = F(X) whose right-hand side reads X only through tshift(s >= 1)
+    is solved by feeding each slice of F(X) back into X.  Slice k of
+    * a product is sum_j X_j Y_(k-j);
+    * an inverse is (1/F)_k = F_0^-1 (-sum_(j>=1) F_j (1/F)_(k-j));
+    * an exponential solves k E_k = sum_j j F_j E_(k-j);
+    where F_0^-1 and E_0 = exp(F_0) are taken on the z-window, because F_0
+    may have negative exponents.  Inverse and exponential windows contain
+    z^0.  Each slice accumulates as integers over one denominator
+    (`_products`), and coefficients are typed as in ZLaurent arithmetic.
+    `eager` evaluates the same expression with ZLaurent arithmetic.
+    """
+
+    __slots__ = ("order", "K", "op", "args", "val", "slices", "_rule")
+
+    def __init__(self, order: int, K: _Terms, op=None, args=(), rule=None, val=0,
+                 slices=None):
+        self.order, self.K, self.op, self.args = order, K, op, args
+        self.val = val          # slices below val are zero
+        self.slices = [] if slices is None else slices
+        self._rule = rule
+
+    @staticmethod
+    def unknown(order: int, scalars=()) -> "ZStream":
+        """A block whose slices come from `feed`.  `scalars` are the
+        coefficients that will enter the expressions built on it: their
+        variables fix the monomial codes (`_Terms`)."""
+        return ZStream(order, _Terms(scalars))
+
+    def feed(self, sl: _Slice):
+        self.slices.append(sl)
+
+    def slice(self, k: int) -> _Slice:
+        s = self.slices
+        while len(s) <= k:
+            if self._rule is None:
+                raise RingUsageError(f"slice {len(s)} of an unknown block is not known yet")
+            s.append(self._rule(len(s)))
+        return s[k]
+
+    def _derive(self, op: str, args, rule, val=None, slices=None) -> "ZStream":
+        for a in args:
+            if isinstance(a, ZStream) and a.order != self.order:
+                raise RingUsageError(
+                    f"mixed truncation orders {self.order} != {a.order}")
+        return ZStream(self.order, self.K, op, args, rule,
+                       self.val if val is None else val, slices)
+
+    def const(self, order: int, c) -> "ZStream":
+        one = _const_slice(self.K, c)
+        return ZStream(order, self.K, "const", (order, c),
+                       lambda k: one if k == 0 else _EMPTY)
+
+    def __add__(self, other: "ZStream") -> "ZStream":
+        K = self.K
+        return self._derive("__add__", (self, other),
+                            lambda k: _add(K, self.slice(k), other.slice(k)),
+                            min(self.val, other.val))
+
+    def scale(self, c) -> "ZStream":
+        K, cs = self.K, _const_slice(self.K, c)
+        return self._derive("scale", (self, c), lambda k: _scaled_slice(K, self.slice(k), cs)
+                            if cs.row and self.slice(k).row else _EMPTY)
+
+    def zshift(self, s: int) -> "ZStream":
+        K = self.K
+        return self._derive("zshift", (self, s), lambda k: _zshift(K, self.slice(k), s))
+
+    def clip(self, lo=None, hi=None) -> "ZStream":
+        K = self.K
+        return self._derive("clip", (self, lo, hi),
+                            lambda k: _clip(K, self.slice(k), lo, hi))
+
+    def tshift(self, s: int) -> "ZStream":
+        """Multiply by t^s: slice k is slice k - s of this block."""
+        if s < 0:
+            raise RingUsageError("tshift needs s >= 0")
+        return self._derive("tshift", (self, s),
+                            lambda k: self.slice(k - s) if k >= s else _EMPTY, self.val + s)
+
+    def mul(self, other: "ZStream", lo=None, hi=None) -> "ZStream":
+        """Product clipped to [lo, hi]; slice k reads no operand slice below
+        its valuation, so X_j and Y_(k-j) only for j = val X .. k - val Y."""
+        K = self.K
+
+        def rule(k):
+            return _products(K, [(self.slice(j), other.slice(k - j), 1)
+                                 for j in range(self.val, k - other.val + 1)], lo, hi)
+        return self._derive("mul", (self, other, lo, hi), rule, self.val + other.val)
+
+    def power(self, n: int, lo=None, hi=None) -> "ZStream":
+        return _power(self, n, lo, hi, self.const(self.order, 1))
+
+    def invert(self, lo: int, hi: int) -> "ZStream":
+        """Inverse on the window [lo, hi] (lo <= 0 <= hi), as `ZLaurent.invert`."""
+        # the rule reads the inverse's earlier slices through this list, which
+        # the new block shares: a closure over the block itself would make a
+        # reference cycle, and every solve would wait for the cyclic collector
+        K, inv = self.K, []
+        _check_window(lo, hi)
+
+        def rule(k):
+            if k == 0:
+                return _window_inverse(K, self.slice(0), lo, hi)
+            self.slice(k)
+            xs = self.slices
+            r = _products(K, [(xs[j], inv[k - j], -1) for j in range(1, k + 1)], lo, hi)
+            return _products(K, [(inv[0], r, 1)], lo, hi)
+        return self._derive("invert", (self, lo, hi), rule, 0, inv)
+
+    def exp(self, lo: int, hi: int) -> "ZStream":
+        """exp on the window [lo, hi] (lo <= 0 <= hi), as `ZLaurent.exp`."""
+        K, E = self.K, []       # shared with the new block, as in `invert`
+        _check_window(lo, hi)
+
+        def rule(k):
+            if k == 0:
+                return _window_exp(K, self.slice(0), lo, hi)
+            self.slice(k)
+            xs = self.slices
+            return _products(K, [(xs[j], E[k - j], j) for j in range(1, k + 1)], lo, hi, k)
+        return self._derive("exp", (self, lo, hi), rule, 0, E)
+
+    def value(self) -> ZLaurent:
+        """The block through its order as a ZLaurent; its z-exponents come in
+        order of first appearance."""
+        T, K = self.order, self.K
+        self.slice(T)
+        cols: dict = {}
+        for k, sl in enumerate(self.slices):
+            terms: dict = {}
+            for p, n in sl.row:
+                terms.setdefault(K.exponent(p), []).append((p, n))
+            for e, kind in sl.kinds.items():
+                col = cols.setdefault(e, [0] * (T + 1))
+                ts = terms.get(e, ())
+                if kind == 2:
+                    base = e << K.zbits
+                    col[k] = MPoly({K.monomial(p - base): Fraction(n, sl.den) for p, n in ts})
+                else:
+                    n = sum(n for _, n in ts)
+                    col[k] = Fraction(n, sl.den) if kind else n // sl.den
+        return ZLaurent(T, {e: TSeries(T, col) for e, col in cols.items()})
+
+    def eager(self, memo: dict) -> ZLaurent:
+        """The same expression evaluated at once with ZLaurent arithmetic at
+        the block's order.  `memo` maps id(block) to its ZLaurent value and
+        must hold the value of every unknown block the expression reads."""
+        v = memo.get(id(self))
+        if v is None:
+            if self.op is None:
+                raise RingUsageError("an unknown block has no value to evaluate at")
+            args = [a.eager(memo) if isinstance(a, ZStream) else a for a in self.args]
+            v = memo[id(self)] = getattr(ZLaurent, self.op)(*args)
+        return v
+
+
+def _check_window(lo, hi):
+    if lo is None or hi is None or not lo <= 0 <= hi:
+        raise RingUsageError(f"the window [{lo}, {hi}] must contain z^0")

@@ -6,11 +6,13 @@ series B(z) in 1/z (window [-D1, 0], constant term 1), coupled through
 projection equations; the rational-exponential extension adds a pair
 (eta, theta).  What runs at which truncation order:
 
-* the system: one sweep at each order k = 0..T, each on the blocks of the
-  sweep before, padded by a zero t^k coefficient.  The A and eta sides read
-  strictly lower orders, the B and theta sides the fresh A and eta, so
-  sweep k is exact through order k.  A last sweep at T must reproduce the
-  solution (stationarity check).
+* the system: one pass, order by order.  `_system_rhs` is evaluated once
+  over ZStream blocks: slice k (the t^k coefficient) of A and eta reads B
+  and theta below k, through t^s with s >= 1, and slice k of B and theta
+  reads A and eta through k, so each slice of every block is computed once
+  and fed back into B and theta for the next order.  The same expression
+  evaluated with ZLaurent arithmetic at T must then reproduce every block
+  (stationarity check); its blocks are the ones returned.
 * Z: Lagrange inversion of Z = xb * Phi(Z) at order T, with the powers of
   Phi on the z-window [0, T]; one evaluation of the right-hand side at Z
   must give Z back.
@@ -24,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .dense import horner, s_inv, s_mul
 from .model import AssumptionViolation, ModelParams
 from .ring import (
-    MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError,
+    MPoly, TSeries, ZLaurent, ZStream, RingDomainError, RingUsageError,
     divided_difference, is_zero, scalar_invert,
 )
 
@@ -85,117 +88,70 @@ def _colors_from_params(params: ModelParams):
 # the defining system
 
 
-def _system_rhs(colors, params: ModelParams, A, B, eta, theta, exp_weight):
-    """One full evaluation of the right-hand sides.  Returns new (A, eta) from
-    the current (B, theta), then new (B, theta) from the new (A, eta)."""
-    T = params.T
-    D1, D2 = params.D1, params.D2
-    one = ZLaurent.const(T, 1)
+def _system_rhs(colors, params: ModelParams, B, theta):
+    """The right-hand sides: new (A, eta) from (B, theta), then new (B, theta)
+    from the new (A, eta).  The blocks are all ZLaurent, or all ZStream."""
+    one = next(iter(B.values())).const(params.T, 1)
+    A, eta = _half(colors, params, B, theta, one, -params.D2, 0, params.q, +1)
+    B, theta = _half(colors, params, A, eta, one, 0, params.D1, params.p, -1)
+    return A, B, eta, theta
 
-    # ---- A side: products of B powers on the window [-D2, 0]
-    baseB = one
-    invB = {}
+
+def _half(colors, params: ModelParams, X, xi, one, lo, hi, weights, sign):
+    """One half of the system; its products are clipped to [lo, hi].
+    sign = +1: A_c = 1 + u_c [z^(>=0)] P / B_c and eta = [z^(>=0)] P, where
+    P = sum_s q_s t^s z^s core^s and core = prod_c B_c^(side mult) *
+    exp(u_exp theta) on [-D2, 0].  sign = -1: B_c = 1 + u_c [z^(<0)] P / A_c
+    and theta = [z^(<0)] P, where P = sum_s p_s z^-s core^s and core is
+    built from A and eta on [0, D1]."""
+    inv = {c.label: X[c.label].invert(lo, hi) for c in colors}
+    factors = []
     for c in colors:
-        invB[c.label] = B[c.label].invert(-D2, 0)
-        f = B[c.label] if c.side > 0 else invB[c.label]
-        baseB = baseB.mul(f.power(c.mult, -D2, 0) if c.mult != 1 else f, -D2, 0)
-    Etheta = None
-    if exp_weight is not None:
-        Etheta = theta.scale(exp_weight).exp(-D2, 0)
-
-    newA = {}
-    basepow = one
-    epow = one
-    new_eta = ZLaurent(T) if exp_weight is not None else None
-    for s in range(1, D2 + 1):
-        basepow = basepow.mul(baseB, -D2, 0)
-        if Etheta is not None:
-            epow = epow.mul(Etheta, -D2, 0)
-        qs = params.q[s - 1]
-        core = basepow if Etheta is None else basepow.mul(epow, -D2, 0)
-        if exp_weight is not None:
-            term = core.zshift(s).project("ge")
-            term = term.map_coeffs(lambda ts: ts.scale(qs).tshift(s))
-            new_eta = new_eta + term
-        for c in colors:
-            qu = qs * c.u
-            cur = core.mul(invB[c.label], -D2, 0).zshift(s).project("ge")
-            cur = cur.map_coeffs(lambda ts: ts.scale(qu).tshift(s))
-            newA.setdefault(c.label, ZLaurent(T))
-            newA[c.label] = newA[c.label] + cur
-    for c in colors:
-        newA[c.label] = one + newA.get(c.label, ZLaurent(T))
-
-    # ---- B side: products of A powers on the window [0, D1]
-    baseA = one
-    invA = {}
-    for c in colors:
-        invA[c.label] = newA[c.label].invert(0, D1)
-        f = newA[c.label] if c.side > 0 else invA[c.label]
-        baseA = baseA.mul(f.power(c.mult, 0, D1) if c.mult != 1 else f, 0, D1)
-    Eeta = None
-    if exp_weight is not None:
-        Eeta = new_eta.clip(0, D1).scale(exp_weight).exp(0, D1)
-
-    newB = {}
-    basepow = one
-    epow = one
-    new_theta = ZLaurent(T) if exp_weight is not None else None
-    for s in range(1, D1 + 1):
-        basepow = basepow.mul(baseA, 0, D1)
-        if Eeta is not None:
-            epow = epow.mul(Eeta, 0, D1)
-        ps = params.p[s - 1]
-        core = basepow if Eeta is None else basepow.mul(epow, 0, D1)
-        if exp_weight is not None:
-            term = core.zshift(-s).project("lt")
-            term = term.map_coeffs(lambda ts: ts.scale(ps))
-            new_theta = new_theta + term
-        for c in colors:
-            pu = ps * c.u
-            cur = core.mul(invA[c.label], 0, D1).zshift(-s).project("lt")
-            cur = cur.map_coeffs(lambda ts: ts.scale(pu))
-            newB.setdefault(c.label, ZLaurent(T))
-            newB[c.label] = newB[c.label] + cur
-    for c in colors:
-        newB[c.label] = one + newB.get(c.label, ZLaurent(T))
-
-    return newA, newB, new_eta, new_theta
+        f = X[c.label] if c.side > 0 else inv[c.label]
+        factors.append(f.power(c.mult, lo, hi) if c.mult != 1 else f)
+    if params.u_exp is not None:
+        factors.append(xi.clip(lo, hi).scale(params.u_exp).exp(lo, hi))
+    core = reduce(lambda f, g: f.mul(g, lo, hi), factors)
+    P, power = None, core
+    for s, ws in enumerate(weights, 1):
+        if s > 1:
+            power = power.mul(core, lo, hi)
+        term = power.zshift(sign * s).scale(ws)
+        term = term.tshift(s) if sign > 0 else term
+        P = term if P is None else P + term
+    keep = (0, None) if sign > 0 else (None, -1)
+    out = {c.label: one + P.mul(inv[c.label], *keep).scale(c.u) for c in colors}
+    return out, (P.clip(*keep) if params.u_exp is not None else None)
 
 
 def _solve_colors(colors, params: ModelParams) -> SpectralData:
-    """Sweep k runs at truncation order k, for k = 0..T, on the blocks of
-    sweep k - 1 padded by a zero t^k coefficient; it is exact through order
-    k.  One more sweep at T must reproduce the solution, or this raises."""
-    one = ZLaurent.const(0, 1)
-    A = {c.label: one for c in colors}
-    B = {c.label: one for c in colors}
-    exp_weight = params.u_exp
-    eta = ZLaurent(0) if params.has_exp else None
-    theta = ZLaurent(0) if params.has_exp else None
-    for k in range(params.T + 1):
-        if k:
-            A = {lbl: _pad(zl) for lbl, zl in A.items()}
-            B = {lbl: _pad(zl) for lbl, zl in B.items()}
-            if params.has_exp:
-                eta, theta = _pad(eta), _pad(theta)
-        A, B, eta, theta = _system_rhs(colors, replace(params, T=k), A, B,
-                                       eta, theta, exp_weight)
-    # stationarity check: one more sweep must reproduce the solution exactly
-    A2, B2, eta2, theta2 = _system_rhs(colors, params, A, B, eta, theta, exp_weight)
-    for c in colors:
-        if not (A2[c.label] == A[c.label] and B2[c.label] == B[c.label]):
-            raise RingDomainError("system sweep did not become stationary")
-    if params.has_exp and not (eta2 == eta and theta2 == theta):
-        raise RingDomainError("exp system sweep did not become stationary")
-    return SpectralData(params=params, colors=tuple(colors), A=A, B=B,
-                        eta=eta, theta=theta)
-
-
-def _pad(zl: ZLaurent) -> ZLaurent:
-    """The same block one truncation order higher, with a zero top coefficient."""
-    return ZLaurent(zl.order + 1, {e: TSeries(zl.order + 1, ts.coeffs + (0,))
-                                   for e, ts in zl.coeffs.items()})
+    """Solve order by order: evaluate `_system_rhs` once over ZStream blocks
+    and feed each slice of the new B and theta back into the unknown B and
+    theta, for k = 0..T.  The same expression evaluated with ZLaurent
+    arithmetic at T must reproduce every block, or this raises; its blocks
+    are returned."""
+    T = params.T
+    weights = [*params.u, *params.p, *params.q, params.u_exp, *(c.u for c in colors)]
+    B = {c.label: ZStream.unknown(T, weights) for c in colors}
+    theta = ZStream.unknown(T, weights) if params.has_exp else None
+    A2, B2, eta2, theta2 = _system_rhs(colors, params, B, theta)
+    rhs = {**{("A", lbl): blk for lbl, blk in A2.items()},
+           **{("B", lbl): blk for lbl, blk in B2.items()}}
+    unknowns = {("B", lbl): blk for lbl, blk in B.items()}
+    if params.has_exp:
+        rhs["eta"], rhs["theta"], unknowns["theta"] = eta2, theta2, theta
+    for k in range(T + 1):
+        for key, x in unknowns.items():
+            x.feed(rhs[key].slice(k))
+    lazy = {key: blk.value() for key, blk in rhs.items()}
+    memo = {id(x): lazy[key] for key, x in unknowns.items()}
+    solved = {key: blk.eager(memo) for key, blk in rhs.items()}
+    if any(not solved[key] == lazy[key] for key in rhs):
+        raise RingDomainError("system sweep did not become stationary")
+    return SpectralData(params=params, colors=tuple(colors),
+                        A={c.label: solved["A", c.label] for c in colors},
+                        B={c.label: solved["B", c.label] for c in colors},
+                        eta=solved.get("eta"), theta=solved.get("theta"))
 
 
 def solve_system(params: ModelParams) -> SpectralData:
@@ -206,8 +162,7 @@ def solve_system(params: ModelParams) -> SpectralData:
 def system_residuals(sd: SpectralData) -> dict:
     """Substitute the solved blocks back into their defining equations and
     return the per-color residual blocks (all identically zero)."""
-    A2, B2, eta2, theta2 = _system_rhs(sd.colors, sd.params, sd.A, sd.B,
-                                       sd.eta, sd.theta, sd.params.u_exp)
+    A2, B2, eta2, theta2 = _system_rhs(sd.colors, sd.params, sd.B, sd.theta)
     out = {}
     for c in sd.colors:
         out[("A", c.label)] = sd.A[c.label] - A2[c.label]

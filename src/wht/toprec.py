@@ -350,6 +350,19 @@ class OmegaSet:
         self.asymmetry: dict = {}
         self.quadrature: dict = {}
         self.condition: dict = {}
+        self._expanded: dict = {}     # (g, n) -> (tensor, poles, src, coeff, groups)
+
+    def _expansion(self, g: int, n: int):
+        """Every ordering of the stored multi-indices of (g, n), as
+        `_orderings` gives them, with each ordering's coefficient, and a
+        cache for `evaluate`; kept while the tensor stays the same object."""
+        tensor = self.tensors[(g, n)]
+        hit = self._expanded.get((g, n))
+        if hit is None or hit[0] is not tensor:
+            poles, coeff = _coo(tensor, n)
+            poles, src = _orderings(poles)
+            hit = self._expanded[(g, n)] = (tensor, poles, src, coeff[src], {})
+        return hit[1:]
 
     def evaluate(self, g: int, n: int, zs, with_condition: bool = False):
         """Value of the correlator at a point, or at arrays of points of one
@@ -359,16 +372,42 @@ class OmegaSet:
         if (g, n) == (0, 2):
             val = 1.0 / (zs[0] - zs[1]) ** 2
             return (val, 1.0) if with_condition else val
-        poles, coeff = _coo(self.tensors[(g, n)], n)
-        poles, src = _orderings(poles)
+        poles, _, terms, groups = self._expansion(g, n)
         bps = np.asarray(self.curve.branchpoints)
-        terms = coeff[src]
-        for (j, k), z in zip(poles.transpose(1, 2, 0), zs):
-            terms = terms / (np.asarray(z)[..., None] - bps[j]) ** k
+        kmax = int(poles[..., 1].max(initial=1))
+        width = len(bps) * kmax
+        index = poles[..., 0] * kmax + poles[..., 1] - 1     # (entry, slot)
+
+        def powers(z):
+            # (z - b_j)^k for every branchpoint j and order k <= kmax
+            z = np.asarray(z)[..., None, None]
+            return ((z - bps[:, None]) ** np.arange(1, kmax + 1)).reshape(
+                z.shape[:-2] + (width,))
+        arrays = [s for s, z in enumerate(zs) if np.ndim(z)]
+        for s, z in enumerate(zs):
+            if s not in arrays:
+                terms = terms / powers(z)[index[:, s]]
+        mag = np.abs(terms) if with_condition else None
+        if arrays:
+            # entries with equal poles at every array point share their
+            # powers there: sum them first
+            place = width ** np.arange(len(arrays))
+            if tuple(arrays) not in groups:
+                groups[tuple(arrays)] = np.unique(index[:, arrays] @ place,
+                                                  return_inverse=True)
+            keys, group = groups[tuple(arrays)]
+
+            def gsum(v):
+                return np.bincount(group, v, len(keys))
+            terms = gsum(terms.real) + 1j * gsum(terms.imag)
+            mag = gsum(mag) if with_condition else None
+            for s, pl in zip(arrays, place):
+                p = 1.0 / np.take(powers(zs[s]), keys // pl % width, axis=-1)
+                terms = terms * p
+                mag = mag * np.abs(p) if with_condition else None
         total = terms.sum(axis=-1)
         if with_condition:
-            mag = np.abs(terms).sum(axis=-1)
-            return total, mag / np.maximum(np.abs(total), 1e-300)
+            return total, mag.sum(axis=-1) / np.maximum(np.abs(total), 1e-300)
         return total
 
     def max_pole_order(self, g: int, n: int) -> int:
@@ -383,7 +422,7 @@ class OmegaSet:
         """Every ordering of every multi-index, ordered by multi-index."""
         out = {}
         for (g, n), tensor in sorted(self.tensors.items()):
-            poles, src = _orderings(_coo(tensor, n)[0])
+            poles, src, _, _ = self._expansion(g, n)
             vals = list(tensor.values())
             out[f"{g},{n}"] = [
                 {"multi_index": midx, "coeff": [vals[e].real, vals[e].imag]}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wht.ring import (
-    MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError,
+    MPoly, TSeries, ZLaurent, ZStream, RingDomainError, RingUsageError,
     divided_difference, is_zero, scalar_invert, _common, _mono_mul,
 )
 
@@ -441,6 +441,85 @@ def test_zlaurent_exp_window():
     assert e.get(0) == TSeries.const(3, 1)
     assert e.get(-2) == TSeries.const(3, 2)
     assert e.get(-3) == TSeries.const(3, F(4, 3))
+
+
+# --- blocks computed order by order ------------------------------------------
+# Reference: the same operation on ZLaurent, which runs over the whole block.
+
+def stream(zl, scalars):
+    """zl as a ZStream built from constants: sum of c z^e t^k."""
+    factory = ZStream.unknown(zl.order, scalars)
+    out = factory.const(zl.order, 0)
+    for e, ts in zl.coeffs.items():
+        for k, c in enumerate(ts.coeffs):
+            if not is_zero(c):
+                out = out + factory.const(zl.order, c).zshift(e).tshift(k)
+    return out
+
+
+@st.composite
+def one_signed(draw, T, sign, coeff):
+    """c + terms of one sign of z-exponent, c a nonzero rational; positive
+    exponents start at t^1, as the windowed inverse needs."""
+    out = {0: TSeries(T, [draw(nonzero_rationals)]
+                      + draw(st.lists(coeff, min_size=T, max_size=T)))}
+    for e in (1, 2):
+        cs = draw(st.lists(coeff, min_size=T + 1, max_size=T + 1))
+        out[sign * e] = TSeries(T, [0] + cs[1:] if sign > 0 else cs)
+    return ZLaurent(T, out)
+
+
+nonzero_rationals = rationals.filter(lambda c: c != 0)
+stream_cases = st.tuples(st.integers(0, 4), st.sampled_from([-1, 1]),
+                         st.sampled_from([rationals, poly_coeffs(["x", "y"])]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_cases.flatmap(lambda c: st.tuples(
+    st.just(c[1]), one_signed(*c), one_signed(*c))))
+def test_stream_operations_equal_zlaurent(case):
+    sign, f, g = case
+    lo, hi = (-3, 0) if sign < 0 else (0, 3)
+    scalars = [c for zl in (f, g) for ts in zl.coeffs.values() for c in ts.coeffs]
+    sf, sg = stream(f, scalars), stream(g, scalars)
+    assert sf.value() == f
+    assert sf.mul(sg, lo, hi).value() == f.mul(g, lo, hi)
+    assert sf.invert(lo, hi).value() == f.invert(lo, hi)
+    assert sf.power(3, lo, hi).value() == f.power(3, lo, hi)
+    # exp needs a zero z^0 t^0 coefficient
+    h = f - ZLaurent.const(f.order, f.get(0).coeffs[0])
+    assert stream(h, scalars).exp(lo, hi).value() == h.exp(lo, hi)
+    assert (sf + sg.scale(F(2, 3))).tshift(1).value() == (f + g.scale(F(2, 3))).tshift(1)
+
+
+def test_stream_product_reads_operands_from_their_valuation():
+    # x = 1 + t x: slice k of the right-hand side reads x only below k
+    T = 3
+    x = ZStream.unknown(T)
+    one = x.const(T, 1)
+    rhs = one + one.tshift(1).mul(x)
+    for k in range(T + 1):
+        x.feed(rhs.slice(k))
+    assert x.value() == ZLaurent(T, {0: TSeries(T, [1, 1, 1, 1])})
+    with pytest.raises(RingUsageError, match="not known yet"):
+        x.mul(one).slice(T + 1)
+
+
+def test_stream_inverse_and_exp_need_windows_with_z0():
+    x = ZStream.unknown(2)
+    with pytest.raises(RingUsageError, match="must contain z"):
+        x.invert(-2, -1)
+    with pytest.raises(RingUsageError, match="must contain z"):
+        x.exp(1, 3)
+    # slice 0 with a positive exponent has no inverse on a window
+    f = x.const(2, 1) + x.const(2, 1).zshift(1)
+    with pytest.raises(RingDomainError, match="unit z\\^0"):
+        f.invert(0, 3).slice(0)
+
+
+def test_tshift_past_the_order_is_zero():
+    assert ts(1, 2).tshift(3) == ts(0, 0)
+    assert ZLaurent.const(1, 5).tshift(3).is_zero()
 
 
 # --- divided difference ------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +18,7 @@ from wht.ring import MPoly, RingDomainError, TSeries, ZLaurent, divided_differen
 from wht.spectral import (
     _critical_point, assemble_curve, compute_Z, critical_t, formal_branchpoints,
     initial_ramification, insertion_identity_sides, solve_bulk_approximation,
-    solve_system, spectral_export, w01, w02,
+    solve_system, spectral_export, w01, w02, _zl_json,
 )
 from wht.toprec import instantiate_curve
 from wht.verify import CONCORDANCE_MODELS, _concordance_params
@@ -105,6 +108,122 @@ def test_solution_truncates_to_the_lower_order_solution(params):
         assert truncated(hi.theta, 6) == lo.theta
 
 
+# --- the order-by-order solve against the sweeps ---------------------------------
+
+# the seed-101 (2,1) and (2,0) draws of the benchmark's exact-series workload
+SEED101_21 = ModelParams.make(2, 1, u=[F(10, 11), F(8, 13), F(-9, 13)],
+                              p=[F(9, 11), F(6, 13)], q=[F(7, 11), F(7, 13)], T=12)
+SEED101_20 = ModelParams.make(2, 0, u=[F(10, 11), F(8, 13)],
+                              p=[F(7, 11), F(9, 11)], q=[F(9, 13), F(7, 13)], T=12)
+
+
+def sweep_solution(colors, params):
+    """Reference: the growing-truncation sweeps, one evaluation of
+    `_system_rhs` per order k = 0..T on the blocks of the sweep before,
+    padded by a zero t^k coefficient."""
+    from wht.spectral import _system_rhs
+
+    def pad(zl):
+        return ZLaurent(zl.order + 1, {e: TSeries(zl.order + 1, ts.coeffs + (0,))
+                                       for e, ts in zl.coeffs.items()})
+    B = {c.label: ZLaurent.const(0, 1) for c in colors}
+    theta = ZLaurent(0) if params.has_exp else None
+    for k in range(params.T + 1):
+        if k:
+            B = {lbl: pad(zl) for lbl, zl in B.items()}
+            theta = pad(theta) if params.has_exp else None
+        A, B, eta, theta = _system_rhs(colors, replace(params, T=k), B, theta)
+    return A, B, eta, theta
+
+
+def listing(zl):
+    """Every coefficient by repr, which tells int from Fraction, with the
+    z-exponents in the order of the block."""
+    return [(e, repr(ts)) for e, ts in zl.coeffs.items()]
+
+
+def al_scaled(params):
+    al = MPoly.var("al")
+    return replace(params, p=tuple(al * pk for pk in params.p))
+
+
+EXP_V = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)], q=[F(2, 7)],
+                         T=4, u_exp=MPoly.var("v"))
+
+SWEEP_CASES = {
+    **{f"{m}{r}": _concordance_params(m, r, 6) for (m, r) in CONCORDANCE_MODELS},
+    "seed101-21": SEED101_21, "seed101-20": SEED101_20,
+    "exp": EXP_11, "exp-v": EXP_V, "al": al_scaled(GENERIC_11),
+    # D1 = D2 = 3: at orders k < 2 the sweeps multiply by t^s with s > k + 1
+    "D3": ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3), F(2), F(3, 4)],
+                           q=[F(2, 7), F(1, 5), F(5, 3)], T=6, u_exp=F(1, 7)),
+    # integer weights, and p = 0 with integer q, whose eta stays integer
+    "unit": ModelParams.make(2, 1, u=[1, 1, -1], p=[1], q=[1], T=8),
+    "p0-exp": ModelParams.make(1, 0, u=[F(1, 2)], p=[0], q=[2, 3], T=5, u_exp=F(1, 3)),
+}
+
+
+@pytest.mark.parametrize("sd", [
+    *(pytest.param(lambda p=p: solve_system(p), id=name) for name, p in SWEEP_CASES.items()),
+    pytest.param(lambda: solve_bulk_approximation(replace(EXP_11, T=6), 3), id="bulk3"),
+])
+def test_solve_equals_the_sweeps_bit_for_bit(sd):
+    sd = sd()
+    A, B, eta, theta = sweep_solution(sd.colors, sd.params)
+    for c in sd.colors:
+        assert listing(sd.A[c.label]) == listing(A[c.label])
+        assert listing(sd.B[c.label]) == listing(B[c.label])
+    assert (sd.eta is None) == (eta is None)
+    if eta is not None:
+        assert listing(sd.eta) == listing(eta)
+        assert listing(sd.theta) == listing(theta)
+
+
+@pytest.mark.parametrize("params, digest", [
+    (SEED101_21, "8c335425a85be54965ee2992867b386161d73ff1053f2e36cef1f705b79d4246"),
+    (EXP_11, "79a814df1fbeb735f3d97856d3e2bb914fdea41a4d2159477506f6e943954cde"),
+], ids=["seed101-21", "exp"])
+def test_solved_blocks_keep_their_digest(params, digest):
+    # SHA-256 of the exported blocks as the growing-truncation sweeps solved them
+    sd = solve_system(params)
+    doc = {"A": {c.label: _zl_json(sd.A[c.label]) for c in sd.colors},
+           "B": {c.label: _zl_json(sd.B[c.label]) for c in sd.colors}}
+    if sd.eta is not None:
+        doc["eta"], doc["theta"] = _zl_json(sd.eta), _zl_json(sd.theta)
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_solve_evaluates_the_system_once(monkeypatch):
+    import wht.spectral as spectral
+    calls = []
+    rhs = spectral._system_rhs
+    monkeypatch.setattr(spectral, "_system_rhs", lambda *a: calls.append(a) or rhs(*a))
+    solve_system(EXP_11)
+    assert len(calls) == 1
+
+
+def test_solve_leaves_no_reference_cycles():
+    # the blocks of a solve are freed by reference counting; cyclic garbage
+    # would stay in memory, and raise its peak, until the collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        solve_system(EXP_11)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_solve_raises_when_not_stationary(monkeypatch):
+    # a lazy route that computes wrong slices is caught by the eager check
+    import wht.ring as ring
+    products = ring._products
+    monkeypatch.setattr(ring, "_products", lambda K, pairs, lo, hi, den=1:
+                        products(K, pairs, lo, hi, den + 1 if den > 1 else den))
+    with pytest.raises(RingDomainError, match="stationary"):
+        solve_system(EXP_11)
+
+
 # --- Z and the curve ------------------------------------------------------------
 
 def z_by_fixed_point(sd):
@@ -115,15 +234,6 @@ def z_by_fixed_point(sd):
     for _ in range(sd.T + 1):
         Z = _z_rhs(sd, Z, xb)
     return Z
-
-
-def al_scaled(params):
-    al = MPoly.var("al")
-    return replace(params, p=tuple(al * pk for pk in params.p))
-
-
-EXP_V = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)], q=[F(2, 7)],
-                         T=4, u_exp=MPoly.var("v"))
 
 
 @pytest.mark.parametrize("params", [
@@ -484,6 +594,19 @@ def test_solver_matches_one_point_system():
     U = sd.A["c0"].get(0)
     rhs = 1 + (U * U).scale(2).tshift(1)
     assert U == rhs
+
+
+@pytest.mark.parametrize("m, r", [(3, 0), (1, 1), (0, 1), (2, 1)])
+def test_series_ratios_approach_the_critical_value(m, r):
+    # unit weights, D1 = D2 = 1: a_n = [t^n][z^0] A_c0 grows like t_c^-n
+    # n^-3/2, so the Domb-Sykes estimate n r_n - (n-1) r_(n-1) of the ratios
+    # r_n = a_n / a_(n-1) tends to 1 / t_c, with an error O(1/n^2); at
+    # T = 24 it reads 0.25% off for (3,0) and under 0.05% for the others
+    T = 24
+    params = ModelParams.make(m, r, u=[1] * m + [-1] * r, p=[1], q=[1], T=T)
+    a = solve_system(params).A["c0"].get(0).coeffs
+    estimate = T * a[T] / a[T - 1] - (T - 1) * a[T - 1] / a[T - 2]
+    assert abs(estimate * critical_t(m, r) - 1) < 0.01
 
 
 # --- export -----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from wht.ring import RingUsageError
 from wht.spectral import initial_ramification, solve_system
 from wht.toprec import (
     alpha0_curve, compare_oracle, instantiate_curve, local_data, tr_compute,
-    _group_rows, _kernel_value,
+    _coo, _group_rows, _kernel_value, _orderings,
 )
 
 
@@ -220,6 +220,36 @@ def test_sorted_storage_expands_in_records(curve10, box, stored, records):
         for r in rows:
             val = tensor[tuple(sorted(map(tuple, r["multi_index"])))]
             assert r["coeff"] == [val.real, val.imag]
+
+
+def loop_evaluate(omega, g, n, zs):
+    """Reference: every ordering of every entry as its own term, each
+    divided by (z - b_j)^k slot by slot; with the sum of term magnitudes."""
+    poles, coeff = _coo(omega.tensors[(g, n)], n)
+    poles, src = _orderings(poles)
+    bps = np.asarray(omega.curve.branchpoints)
+    terms = coeff[src]
+    for (j, k), z in zip(poles.transpose(1, 2, 0), zs):
+        terms = terms / (np.asarray(z)[..., None] - bps[j]) ** k
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
+def test_evaluate_equals_the_term_loop(curve10):
+    # at points alone the arithmetic is the loop's, so the values are equal;
+    # with arrays of points, terms sharing their poles there are summed
+    # first, which moves the value by a few roundings of its largest terms
+    omega = tr_compute(curve10, 2, 3)
+    rng = np.random.default_rng(5)
+    scale = max(abs(b) for b in curve10.branchpoints)
+    for (g, n) in omega.tensors:
+        zs = [complex(scale * (1.5 + 2 * rng.random()) * np.exp(2j * np.pi * rng.random()))
+              for _ in range(n)]
+        ref, mag = loop_evaluate(omega, g, n, zs)
+        val, cond = omega.evaluate(g, n, zs, with_condition=True)
+        assert val == ref and cond == mag / np.maximum(np.abs(ref), 1e-300)
+        arrays = [z * np.exp(0.3j * rng.random(50)) for z in zs[:2]] + zs[2:]
+        ref, mag = loop_evaluate(omega, g, n, arrays)
+        assert np.all(np.abs(omega.evaluate(g, n, arrays) - ref) <= 8 * 2.3e-16 * mag)
 
 
 def test_universal_three_point_coefficient(curve10, omega10):
