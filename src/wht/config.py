@@ -14,7 +14,6 @@ from math import factorial
 
 from .model import EllBounds, ModelParams
 from .oracle import enumeration_total
-from .ring import MPoly
 from .toprec import T_CAP
 
 
@@ -176,8 +175,7 @@ def emit_config(cfg: RunConfig) -> dict:
             "p": [str(x) for x in m.p],
             "q": [str(x) for x in m.q],
             "T": m.T,
-            "u_exp": (str(m.u_exp) if m.u_exp is not None
-                      and not isinstance(m.u_exp, MPoly) else None),
+            "u_exp": str(m.u_exp) if m.u_exp is not None else None,
             "allow_zero_u": m.allow_zero_u,
         },
         "oracle": {

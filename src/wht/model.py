@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import MPoly, is_zero
-
 
 class AssumptionViolation(Exception):
     """A configuration breaks one of the analytic assumptions.
@@ -27,9 +25,8 @@ def parse_scalar(s):
 
 
 def _check_exact(name: str, x):
-    if not isinstance(x, (int, Fraction, MPoly)):
-        raise ValueError(f"{name} entries must be exact rationals or MPoly "
-                         f"values, got {x!r}")
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{name} entries must be exact rationals, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +36,9 @@ class ModelParams:
 
     `u` holds the m numerator parameters first, then the r denominator ones.
     `u_exp` switches on the rational-exponential extension.  Entries are
-    exact rationals (int or Fraction), or MPoly values over Fraction for the
-    deformation variables "al" and "v".  Zero entries are rejected unless
+    exact rationals (int or Fraction); a series that depends polynomially on
+    a weight is interpolated from rational values of it (`ring.interpolate`).
+    Zero entries of `u` are rejected unless
     `allow_zero_u` since the curve-level operations assume nonzero weights,
     while the series-level solver tolerates zeros (a zero weight simply
     trivialises its color).
@@ -71,7 +69,7 @@ class ModelParams:
             _check_exact("u_exp", self.u_exp)
         if not self.allow_zero_u:
             for uc in self.u:
-                if is_zero(uc):
+                if uc == 0:
                     raise ValueError("u entries must be nonzero "
                                      "(pass allow_zero_u=True to override)")
         object.__setattr__(self, "u", tuple(self.u))

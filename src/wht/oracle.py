@@ -179,10 +179,10 @@ def content_weight(lam, params: ModelParams, u_symbolic=False,
                 w = w * (Fraction(1, 1) / den)
     if params.has_exp:
         csum = sum(cs)
-        if u_symbolic or isinstance(params.u_exp, MPoly):
+        if u_symbolic:
             if v_cap is None:
                 raise RingUsageError("symbolic exponential weight needs v_cap")
-            v = params.u_exp if isinstance(params.u_exp, MPoly) else MPoly.var("v")
+            v = MPoly.var("v")
             e = MPoly.const(1)
             pw = MPoly.const(1)
             for k in range(1, v_cap + 1):
@@ -856,8 +856,7 @@ def tau_from_table(table: HurwitzTable, params: ModelParams, d_max: int,
                 term = term * ((MPoly.var(f"u{c}") ** e) if u_symbolic
                                else params.u[c] ** e)
         if ell_exp:
-            ve = (MPoly.var("v") ** ell_exp if u_symbolic or isinstance(params.u_exp, MPoly)
-                  else params.u_exp ** ell_exp)
+            ve = MPoly.var("v") ** ell_exp if u_symbolic else params.u_exp ** ell_exp
             term = term * ve * Fraction(1, factorial(ell_exp))
         coeffs[d] = coeffs[d] + term
     return TSeries(d_max, coeffs)
@@ -1062,10 +1061,6 @@ def wgn_via_characters(params: ModelParams, d_max: int, g: int,
     the character values), so the two oracles cross-check each other."""
     if n not in (1, 2):
         raise RingUsageError("character route implemented for n in {1, 2}")
-    if params.has_exp and not isinstance(params.u_exp, (int, Fraction)):
-        raise RingUsageError("character route needs a rational u_exp")
-    if any(isinstance(x, MPoly) for x in params.u + params.p + params.q):
-        raise RingUsageError("character route needs rational weights")
     degrees = list(range(1, d_max + 1))
     data = _graded_series_log_derivs(
         params, d_max, [degrees] * n, g)
@@ -1122,9 +1117,7 @@ def wgn_oracle(table: HurwitzTable, params: ModelParams, g: int, n: int,
             if e:
                 term = term * params.u[c] ** e
         if ell_exp:
-            ve = (MPoly.var("v") ** ell_exp if isinstance(params.u_exp, MPoly)
-                  else params.u_exp ** ell_exp)
-            term = term * ve * MPoly.const(Fraction(1, factorial(ell_exp)))
+            term = term * (params.u_exp ** ell_exp * Fraction(1, factorial(ell_exp)))
         if term.is_zero():
             continue
         marked = _apply_markings(lam, n, params)

@@ -2,12 +2,15 @@
 and sparse multivariate Laurent polynomials in marking variables.
 
 Scalars are exact rationals (``int`` or ``fractions.Fraction``; arithmetic
-never rounds), or MPoly over them for the deformation variables.  MPoly terms
-are always ``int`` or ``Fraction``: its product raises ``RingUsageError`` on
-anything else.  Complex numbers enter only as evaluation points
-(``MPoly.eval``, ``TSeries.eval_t``).  All containers are immutable after
-construction and every operation is a pure function, so independent
-computations can safely run in parallel.
+never rounds).  A series coefficient is a scalar or an MPoly over scalars in
+the marking variables; a Laurent block (``ZLaurent``, ``ZStream``) holds
+scalars only.  MPoly terms and block coefficients are always ``int`` or
+``Fraction``: their products raise ``RingUsageError`` on anything else.  A
+series that depends polynomially on a weight is built by ``interpolate``
+from series computed at rational values of the weight.  Complex numbers
+enter only as evaluation points (``MPoly.eval``, ``TSeries.eval_t``).  All
+containers are immutable after construction and every operation is a pure
+function, so independent computations can safely run in parallel.
 
 Every product-sum runs on integers.  A kernel brings each operand to integer
 numerators over one common denominator (``_common``), accumulates integer
@@ -15,8 +18,8 @@ products, and builds one ``Fraction`` per output coefficient instead of one
 per term product:
 
 * ``TSeries.__mul__`` on rational coefficients convolves two numerator lists;
-* ``ZLaurent.mul`` on rational blocks takes one denominator per block and
-  convolves the numerator rows in (z-exponent, t-order), clip kept;
+* ``ZLaurent.mul`` takes one denominator per block and convolves the
+  numerator rows in (z-exponent, t-order), clip kept;
 * ``TSeries.__mul__`` on MPoly coefficients, and ``invert`` and ``log`` on
   any, hold each coefficient as (monomial code, numerator) pairs over one
   denominator per operand (``_Terms``) and accumulate ``{monomial: int}``
@@ -24,16 +27,15 @@ per term product:
   own reduced denominators;
 * ``MPoly.__mul__`` accumulates ``{monomial: int}`` for one pair;
 * ``ZStream`` computes a Laurent block one t^k slice at a time: a slice is
-  one row of (code, numerator) pairs over one reduced denominator, the
-  z-exponent in the top place of the code, and each product, inverse or
-  exponential slice is one accumulation over the slices below it.
+  one row of (z-exponent, numerator) pairs over one reduced denominator,
+  and each product, inverse or exponential slice is one accumulation over
+  the slices below it.
 
 An output coefficient is an ``int`` when no operand holds a ``Fraction``,
 and a scalar zero is the int 0; ``invert`` and ``log`` return Fractions.  As
 in a term-by-term sum, a series coefficient is an MPoly when an MPoly entered
 it: a cancelled product coefficient is ``MPoly()``, a cancelled coefficient
-of an inverse the int 0.  Only ``ZLaurent`` blocks with MPoly coefficients
-still multiply pair by pair.
+of an inverse the int 0.
 """
 
 from __future__ import annotations
@@ -359,24 +361,16 @@ class _Terms:
     of the call in sorted order; any exponent below 2^63 in size decodes
     uniquely, and the code of a product of monomials is the sum of their
     codes.  A row lists the (code, numerator) pairs of one coefficient and is
-    empty for a zero.  A `ZStream` slice holds a whole Laurent polynomial in
-    z in one row: the z-exponent e adds e * 2^zbits to the code, above every
-    name's place, and `exponent` reads it back.
+    empty for a zero.
     """
 
-    __slots__ = ("names", "weight", "zbits", "zhalf")
+    __slots__ = ("names", "weight")
 
     def __init__(self, cs):
         """`cs`: every coefficient the call reads, to fix the names."""
         self.names = sorted({n for c in cs if type(c) is MPoly
                              for m in c.terms for n, _ in m})
         self.weight = {n: 1 << (64 * k) for k, n in enumerate(self.names)}
-        self.zbits = 64 * len(self.names)
-        self.zhalf = (1 << self.zbits) >> 1
-
-    def exponent(self, code: int) -> int:
-        """The z-exponent of a slice code."""
-        return (code + self.zhalf) >> self.zbits
 
     def rows(self, cs):
         """(rows, D, frac, polys): c_i == sum of numerator * monomial over
@@ -659,17 +653,58 @@ def divided_difference(Z: TSeries, var: str = "xb", var1: str = "xb1",
         c if isinstance(c, MPoly) else MPoly.const(c), var, var1, var2))
 
 
+def interpolate(f, name: str, nodes):
+    """The series f(x) as polynomials in the variable `name`, from their
+    values at rational nodes.  f maps a node to a tuple of TSeries whose
+    coefficients are scalars or MPoly free of `name`.  Lagrange
+    interpolation through every node but the last gives each coefficient as
+    an MPoly of degree below len(nodes) - 1 in `name`; the value at the last
+    node must equal f there, or this raises RingDomainError."""
+    *xs, last = [Fraction(x) for x in nodes]
+    basis = []                  # coefficient lists of the Lagrange basis
+    for j, xj in enumerate(xs):
+        b = [Fraction(1)]
+        for i, xi in enumerate(xs):
+            if i != j:          # times (x - xi) / (xj - xi)
+                b = [(a - xi * c) / (xj - xi) for a, c in zip([0, *b], [*b, 0])]
+        basis.append(b)
+    series = list(zip(*(f(x) for x in [*xs, last])))   # per series, its values
+    out = tuple(TSeries(s[0].order, [_interpolant(cs, basis, name)
+                                     for cs in zip(*(v.coeffs for v in s[:-1]))])
+                for s in series)
+    weights = [sum(c * last ** e for e, c in enumerate(b)) for b in basis]
+    for *s, e in series:
+        if not sum((v.scale(w) for v, w in zip(s, weights)), TSeries.zero(e.order)) == e:
+            raise RingDomainError(f"the interpolant in {name} misses the node {last}")
+    return out
+
+
+def _interpolant(cs, basis, name: str) -> MPoly:
+    """The MPoly through the values cs at the nodes of the Lagrange basis."""
+    ys: dict = {}               # monomial -> its value at each node
+    for j, c in enumerate(cs):
+        for m, v in (c.terms.items() if isinstance(c, MPoly) else [((), c)]):
+            if v:
+                ys.setdefault(m, [0] * len(cs))[j] = v
+    out = {}
+    for m, y in ys.items():
+        for e in range(len(basis)):
+            s = sum(v * b[e] for v, b in zip(y, basis) if v)
+            if s:
+                out[_mono_mul(m, ((name, e),)) if e else m] = s
+    return MPoly(out)
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials in z with TSeries coefficients
 
 
 def _block(zl: "ZLaurent"):
-    """(rows, D, frac) of a block with rational coefficients, None for one
-    with MPoly coefficients: a row (e, v, numerators) holds the z^e series
-    over the block's common denominator D from its valuation v on."""
+    """(rows, D, frac) of a block: a row (e, v, numerators) holds the z^e
+    series over the block's common denominator D from its valuation v on."""
     r = _common([c for ts in zl.coeffs.values() for c in ts.coeffs])
     if r is None:
-        return None
+        raise RingUsageError("Laurent block coefficients must be int or Fraction")
     nums, D, frac = r
     n = zl.order + 1
     rows = []
@@ -755,10 +790,7 @@ class ZLaurent:
         if self.order != other.order:
             raise RingUsageError(
                 f"mixed truncation orders {self.order} != {other.order}")
-        ra, rb = _block(self), _block(other)
-        if ra is None or rb is None:
-            return self._mul_pairs(other, lo, hi)
-        (xa, Da, fa), (xb, Db, fb) = ra, rb
+        (xa, Da, fa), (xb, Db, fb) = _block(self), _block(other)
         T = self.order
         acc: dict = {}
         for e1, v1, x in xa:
@@ -775,21 +807,6 @@ class ZLaurent:
         D, frac = Da * Db, fa or fb
         return ZLaurent(T, {e: TSeries(T, [_rational(n, D, frac) for n in row])
                             for e, row in acc.items() if any(row)})
-
-    def _mul_pairs(self, other: "ZLaurent", lo, hi) -> "ZLaurent":
-        """`mul` for blocks with MPoly coefficients: series pair by pair."""
-        out: dict = {}
-        for e1, a in self.coeffs.items():
-            for e2, b in other.coeffs.items():
-                e = e1 + e2
-                if (lo is not None and e < lo) or (hi is not None and e > hi):
-                    continue
-                p = a * b
-                if p.is_zero():
-                    continue
-                s = out.get(e)
-                out[e] = p if s is None else s + p
-        return ZLaurent(self.order, out)
 
     def __mul__(self, other):
         if isinstance(other, ZLaurent):
@@ -900,10 +917,7 @@ class ZLaurent:
         """Numeric t-instantiation: {z-exponent: complex coefficient}."""
         out = {}
         for e, ts in self.coeffs.items():
-            v = ts.eval_t(t)
-            if isinstance(v, MPoly):
-                raise RingUsageError("symbolic coefficients cannot instantiate")
-            out[e] = complex(v)
+            out[e] = complex(ts.eval_t(t))
         return out
 
     def map_coeffs(self, f) -> "ZLaurent":
@@ -935,52 +949,39 @@ def _power(x, n: int, lo, hi, one):
 
 
 class _Slice:
-    """The t^k coefficient of a `ZStream` block: the terms of all its
-    z-exponents in one row of (code, numerator) pairs (`_Terms`) over one
-    denominator den > 0.  `kinds` maps each z-exponent present to the type
-    the ZLaurent operations give its coefficient: 0 int, 1 Fraction, 2 MPoly;
-    an absent exponent is the int 0, a present one without terms a Fraction
-    or MPoly zero.  `polys` lists the exponents of nonzero MPoly
-    coefficients."""
+    """The t^k coefficient of a `ZStream` block: `row` lists the (z-exponent,
+    numerator) pairs of its nonzero coefficients over one denominator den > 0."""
 
-    __slots__ = ("row", "den", "kinds", "polys")
+    __slots__ = ("row", "den")
 
-    def __init__(self, K, row, den, kinds):
-        self.row, self.den, self.kinds = row, den, kinds
-        self.polys = ()
-        if 2 in kinds.values():
-            es = _exponents(K, row)
-            self.polys = tuple(e for e, t in kinds.items() if t == 2 and e in es)
+    def __init__(self, row, den):
+        self.row, self.den = row, den
 
 
-_EMPTY = _Slice(None, [], 1, {})
+_EMPTY = _Slice([], 1)
+_ONE = _Slice([(0, 1)], 1)
 
 
-def _exponents(K, row) -> dict:
-    """The z-exponents of a row, in order of first appearance."""
-    zb, zh = K.zbits, K.zhalf
-    return dict.fromkeys((p + zh) >> zb for p, _ in row)
-
-
-def _reduced(K, row, den, kinds) -> _Slice:
+def _reduced(row, den) -> _Slice:
     g = gcd(den, *(n for _, n in row))
     if g > 1:
-        row, den = [(p, n // g) for p, n in row], den // g
-    return _Slice(K, row, den, kinds)
+        row, den = [(e, n // g) for e, n in row], den // g
+    return _Slice(row, den)
 
 
-def _const_slice(K, c) -> _Slice:
-    if is_zero(c):
+def _scalar_slice(c) -> _Slice:
+    """The constant c z^0 as a slice."""
+    if type(c) not in (int, Fraction):
+        raise RingUsageError(
+            f"Laurent block coefficients must be int or Fraction, not {type(c).__name__}")
+    if not c:
         return _EMPTY
-    rows, den, _, _ = K.rows([c])
-    return _Slice(K, rows[0], den, {0: 2 if type(c) is MPoly else int(type(c) is Fraction)})
+    return _Slice([(0, c.numerator)], c.denominator)
 
 
-def _products(K, pairs, lo, hi, den: int = 1) -> _Slice:
+def _products(pairs, lo, hi, den: int = 1) -> _Slice:
     """The slice (sum of w x y over the (x, y, w) slice pairs) / den, clipped
-    to the z-window [lo, hi] (None: unbounded).  As in `TSeries.__mul__`, a
-    coefficient is an MPoly when a product of two nonzero coefficients, one
-    of them an MPoly, entered it; otherwise a nonzero one is a Fraction."""
+    to the z-window [lo, hi] (None: unbounded)."""
     pairs = [(x, y, w) for x, y, w in pairs if x.row and y.row]
     if not pairs:
         return _EMPTY
@@ -996,92 +997,54 @@ def _products(K, pairs, lo, hi, den: int = 1) -> _Slice:
         for i, n in x.row:
             n *= f
             for j, m in yrow:
-                p = i + j
-                acc[p] = acc.get(p, 0) + n * m
+                e = i + j
+                acc[e] = acc.get(e, 0) + n * m
     lo = -inf if lo is None else lo
     hi = inf if hi is None else hi
-    zb, zh = K.zbits, K.zhalf
-    row = [(p, n) for p, n in acc.items() if n and lo <= (p + zh) >> zb <= hi]
-    kinds = dict.fromkeys(_exponents(K, row), 1)
-    for x, y, _ in pairs:
-        if x.polys or y.polys:
-            for a, b in ((x, y), (y, x)):
-                for e in a.polys:
-                    for e2 in _exponents(K, b.row):
-                        if lo <= e + e2 <= hi:
-                            kinds[e + e2] = 2
-    return _reduced(K, row, L * den, kinds)
+    return _reduced([(e, n) for e, n in acc.items() if n and lo <= e <= hi], L * den)
 
 
-def _add(K, x: _Slice, y: _Slice) -> _Slice:
-    """x + y; a coefficient takes the wider type of its two terms."""
-    if not y.kinds:
+def _add(x: _Slice, y: _Slice) -> _Slice:
+    if not y.row:
         return x
-    if not x.kinds:
+    if not x.row:
         return y
     L = lcm(x.den, y.den)
     fx, fy = L // x.den, L // y.den
-    acc = {p: n * fx for p, n in x.row}
-    for p, n in y.row:
-        acc[p] = acc.get(p, 0) + n * fy
-    row = [(p, n) for p, n in acc.items() if n]
-    kinds = dict(x.kinds)
-    for e, t in y.kinds.items():
-        kinds[e] = max(kinds.get(e, 0), t)
-    es = _exponents(K, row)
-    return _reduced(K, row, L, {e: t for e, t in kinds.items() if t or e in es})
+    acc = {e: n * fx for e, n in x.row}
+    for e, n in y.row:
+        acc[e] = acc.get(e, 0) + n * fy
+    return _reduced([(e, n) for e, n in acc.items() if n], L)
 
 
-def _scaled_slice(K, x: _Slice, c: _Slice) -> _Slice:
-    """x times the nonzero constant c, typed as `TSeries.scale` types it."""
-    out = _products(K, [(x, c, 1)], None, None)
-    ck = c.kinds[0]
-    return _Slice(K, out.row, out.den, {e: max(ck, x.kinds[e]) for e in out.kinds})
-
-
-def _clip(K, x: _Slice, lo, hi) -> _Slice:
-    lo = -inf if lo is None else lo
-    hi = inf if hi is None else hi
-    zb, zh = K.zbits, K.zhalf
-    return _reduced(K, [(p, n) for p, n in x.row if lo <= (p + zh) >> zb <= hi], x.den,
-                    {e: t for e, t in x.kinds.items() if lo <= e <= hi})
-
-
-def _zshift(K, x: _Slice, s: int) -> _Slice:
-    d = s << K.zbits
-    return _Slice(K, [(p + d, n) for p, n in x.row], x.den,
-                  {e + s: t for e, t in x.kinds.items()})
-
-
-def _window_inverse(K, f: _Slice, lo, hi) -> _Slice:
+def _window_inverse(f: _Slice, lo, hi) -> _Slice:
     """1/f on the z-window [lo, hi] for a z-polynomial f = f_0 + (negative
     exponents) with an invertible constant f_0: f_0^-1 sum_m (1 - f/f_0)^m,
     whose m-th term has exponents <= -m."""
-    at0 = [(p, n) for p, n in f.row if K.exponent(p) >= 0]
+    at0 = [(e, n) for e, n in f.row if e >= 0]
     if len(at0) != 1 or at0[0][0] != 0:
         raise RingDomainError(
             "ZLaurent inversion needs a unit z^0 term and no positive exponent at t^0")
     n0 = at0[0][1]
     sign = 1 if n0 > 0 else -1
-    step = _Slice(K, [(p, -sign * n) for p, n in f.row if p], abs(n0),
-                  {e: t for e, t in f.kinds.items() if e})
-    inv0 = _Slice(K, [(0, sign * f.den)], abs(n0), {0: f.kinds[0]})
-    terms = [_Slice(K, [(0, 1)], 1, {0: 0})]
+    step = _Slice([(e, -sign * n) for e, n in f.row if e], abs(n0))
+    inv0 = _Slice([(0, sign * f.den)], abs(n0))
+    terms = [_ONE]
     while True:
-        term = _products(K, [(terms[-1], step, 1)], lo, hi)
+        term = _products([(terms[-1], step, 1)], lo, hi)
         if not term.row:
-            return _products(K, [(t, inv0, 1) for t in terms], lo, hi)
+            return _products([(t, inv0, 1) for t in terms], lo, hi)
         terms.append(term)
 
 
-def _window_exp(K, f: _Slice, lo, hi) -> _Slice:
+def _window_exp(f: _Slice, lo, hi) -> _Slice:
     """exp f on the z-window [lo, hi]: sum_m f^m / m!, which must end on it."""
-    out = term = _Slice(K, [(0, 1)], 1, {0: 0})
+    out = term = _ONE
     for m in range(1, hi - lo + 2):
-        term = _products(K, [(term, f, 1)], lo, hi, m)
+        term = _products([(term, f, 1)], lo, hi, m)
         if not term.row:
             return out
-        out = _add(K, out, term)
+        out = _add(out, term)
     raise RingDomainError("ZLaurent exp did not terminate on window")
 
 
@@ -1092,7 +1055,8 @@ class ZStream:
 
     A block has the ZLaurent operations that the spectral system uses, each
     returning a new block, so that one statement of a system runs over
-    either type.  An `unknown` block receives its slices from `feed`: a
+    either type.  Its coefficients are int or Fraction; an MPoly raises
+    `RingUsageError`.  An `unknown` block receives its slices from `feed`: a
     system X = F(X) whose right-hand side reads X only through tshift(s >= 1)
     is solved by feeding each slice of F(X) back into X.  Slice k of
     * a product is sum_j X_j Y_(k-j);
@@ -1101,25 +1065,21 @@ class ZStream:
     where F_0^-1 and E_0 = exp(F_0) are taken on the z-window, because F_0
     may have negative exponents.  Inverse and exponential windows contain
     z^0.  Each slice accumulates as integers over one denominator
-    (`_products`), and coefficients are typed as in ZLaurent arithmetic.
-    `eager` evaluates the same expression with ZLaurent arithmetic.
+    (`_products`).
     """
 
-    __slots__ = ("order", "K", "op", "args", "val", "slices", "_rule")
+    __slots__ = ("order", "val", "slices", "_rule")
 
-    def __init__(self, order: int, K: _Terms, op=None, args=(), rule=None, val=0,
-                 slices=None):
-        self.order, self.K, self.op, self.args = order, K, op, args
+    def __init__(self, order: int, rule=None, val=0, slices=None):
+        self.order = order
         self.val = val          # slices below val are zero
         self.slices = [] if slices is None else slices
         self._rule = rule
 
     @staticmethod
-    def unknown(order: int, scalars=()) -> "ZStream":
-        """A block whose slices come from `feed`.  `scalars` are the
-        coefficients that will enter the expressions built on it: their
-        variables fix the monomial codes (`_Terms`)."""
-        return ZStream(order, _Terms(scalars))
+    def unknown(order: int) -> "ZStream":
+        """A block whose slices come from `feed`."""
+        return ZStream(order)
 
     def feed(self, sl: _Slice):
         self.slices.append(sl)
@@ -1132,55 +1092,53 @@ class ZStream:
             s.append(self._rule(len(s)))
         return s[k]
 
-    def _derive(self, op: str, args, rule, val=None, slices=None) -> "ZStream":
-        for a in args:
-            if isinstance(a, ZStream) and a.order != self.order:
-                raise RingUsageError(
-                    f"mixed truncation orders {self.order} != {a.order}")
-        return ZStream(self.order, self.K, op, args, rule,
-                       self.val if val is None else val, slices)
+    def _derive(self, rule, other=None, val=None, slices=None) -> "ZStream":
+        if other is not None and other.order != self.order:
+            raise RingUsageError(
+                f"mixed truncation orders {self.order} != {other.order}")
+        return ZStream(self.order, rule, self.val if val is None else val, slices)
 
     def const(self, order: int, c) -> "ZStream":
-        one = _const_slice(self.K, c)
-        return ZStream(order, self.K, "const", (order, c),
-                       lambda k: one if k == 0 else _EMPTY)
+        one = _scalar_slice(c)
+        return ZStream(order, lambda k: one if k == 0 else _EMPTY)
 
     def __add__(self, other: "ZStream") -> "ZStream":
-        K = self.K
-        return self._derive("__add__", (self, other),
-                            lambda k: _add(K, self.slice(k), other.slice(k)),
+        return self._derive(lambda k: _add(self.slice(k), other.slice(k)), other,
                             min(self.val, other.val))
 
     def scale(self, c) -> "ZStream":
-        K, cs = self.K, _const_slice(self.K, c)
-        return self._derive("scale", (self, c), lambda k: _scaled_slice(K, self.slice(k), cs)
-                            if cs.row and self.slice(k).row else _EMPTY)
+        cs = _scalar_slice(c)
+        return self._derive(lambda k: _products([(self.slice(k), cs, 1)], None, None))
 
     def zshift(self, s: int) -> "ZStream":
-        K = self.K
-        return self._derive("zshift", (self, s), lambda k: _zshift(K, self.slice(k), s))
+        def rule(k):
+            x = self.slice(k)
+            return _Slice([(e + s, n) for e, n in x.row], x.den)
+        return self._derive(rule)
 
     def clip(self, lo=None, hi=None) -> "ZStream":
-        K = self.K
-        return self._derive("clip", (self, lo, hi),
-                            lambda k: _clip(K, self.slice(k), lo, hi))
+        lo = -inf if lo is None else lo
+        hi = inf if hi is None else hi
+
+        def rule(k):
+            x = self.slice(k)
+            return _reduced([(e, n) for e, n in x.row if lo <= e <= hi], x.den)
+        return self._derive(rule)
 
     def tshift(self, s: int) -> "ZStream":
         """Multiply by t^s: slice k is slice k - s of this block."""
         if s < 0:
             raise RingUsageError("tshift needs s >= 0")
-        return self._derive("tshift", (self, s),
-                            lambda k: self.slice(k - s) if k >= s else _EMPTY, self.val + s)
+        return self._derive(lambda k: self.slice(k - s) if k >= s else _EMPTY,
+                            val=self.val + s)
 
     def mul(self, other: "ZStream", lo=None, hi=None) -> "ZStream":
         """Product clipped to [lo, hi]; slice k reads no operand slice below
         its valuation, so X_j and Y_(k-j) only for j = val X .. k - val Y."""
-        K = self.K
-
         def rule(k):
-            return _products(K, [(self.slice(j), other.slice(k - j), 1)
-                                 for j in range(self.val, k - other.val + 1)], lo, hi)
-        return self._derive("mul", (self, other, lo, hi), rule, self.val + other.val)
+            return _products([(self.slice(j), other.slice(k - j), 1)
+                              for j in range(self.val, k - other.val + 1)], lo, hi)
+        return self._derive(rule, other, self.val + other.val)
 
     def power(self, n: int, lo=None, hi=None) -> "ZStream":
         return _power(self, n, lo, hi, self.const(self.order, 1))
@@ -1190,63 +1148,42 @@ class ZStream:
         # the rule reads the inverse's earlier slices through this list, which
         # the new block shares: a closure over the block itself would make a
         # reference cycle, and every solve would wait for the cyclic collector
-        K, inv = self.K, []
+        inv = []
         _check_window(lo, hi)
 
         def rule(k):
             if k == 0:
-                return _window_inverse(K, self.slice(0), lo, hi)
+                return _window_inverse(self.slice(0), lo, hi)
             self.slice(k)
             xs = self.slices
-            r = _products(K, [(xs[j], inv[k - j], -1) for j in range(1, k + 1)], lo, hi)
-            return _products(K, [(inv[0], r, 1)], lo, hi)
-        return self._derive("invert", (self, lo, hi), rule, 0, inv)
+            r = _products([(xs[j], inv[k - j], -1) for j in range(1, k + 1)], lo, hi)
+            return _products([(inv[0], r, 1)], lo, hi)
+        return self._derive(rule, val=0, slices=inv)
 
     def exp(self, lo: int, hi: int) -> "ZStream":
         """exp on the window [lo, hi] (lo <= 0 <= hi), as `ZLaurent.exp`."""
-        K, E = self.K, []       # shared with the new block, as in `invert`
+        E = []                  # shared with the new block, as in `invert`
         _check_window(lo, hi)
 
         def rule(k):
             if k == 0:
-                return _window_exp(K, self.slice(0), lo, hi)
+                return _window_exp(self.slice(0), lo, hi)
             self.slice(k)
             xs = self.slices
-            return _products(K, [(xs[j], E[k - j], j) for j in range(1, k + 1)], lo, hi, k)
-        return self._derive("exp", (self, lo, hi), rule, 0, E)
+            return _products([(xs[j], E[k - j], j) for j in range(1, k + 1)], lo, hi, k)
+        return self._derive(rule, val=0, slices=E)
 
     def value(self) -> ZLaurent:
         """The block through its order as a ZLaurent; its z-exponents come in
-        order of first appearance."""
-        T, K = self.order, self.K
+        order of first appearance, and the coefficients of a slice over
+        denominator 1 are ints."""
+        T = self.order
         self.slice(T)
         cols: dict = {}
-        for k, sl in enumerate(self.slices):
-            terms: dict = {}
-            for p, n in sl.row:
-                terms.setdefault(K.exponent(p), []).append((p, n))
-            for e, kind in sl.kinds.items():
-                col = cols.setdefault(e, [0] * (T + 1))
-                ts = terms.get(e, ())
-                if kind == 2:
-                    base = e << K.zbits
-                    col[k] = MPoly({K.monomial(p - base): Fraction(n, sl.den) for p, n in ts})
-                else:
-                    n = sum(n for _, n in ts)
-                    col[k] = Fraction(n, sl.den) if kind else n // sl.den
+        for k, sl in enumerate(self.slices[:T + 1]):
+            for e, n in sl.row:
+                cols.setdefault(e, [0] * (T + 1))[k] = Fraction(n, sl.den) if sl.den > 1 else n
         return ZLaurent(T, {e: TSeries(T, col) for e, col in cols.items()})
-
-    def eager(self, memo: dict) -> ZLaurent:
-        """The same expression evaluated at once with ZLaurent arithmetic at
-        the block's order.  `memo` maps id(block) to its ZLaurent value and
-        must hold the value of every unknown block the expression reads."""
-        v = memo.get(id(self))
-        if v is None:
-            if self.op is None:
-                raise RingUsageError("an unknown block has no value to evaluate at")
-            args = [a.eager(memo) if isinstance(a, ZStream) else a for a in self.args]
-            v = memo[id(self)] = getattr(ZLaurent, self.op)(*args)
-        return v
 
 
 def _check_window(lo, hi):

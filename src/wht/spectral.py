@@ -10,9 +10,9 @@ projection equations; the rational-exponential extension adds a pair
   over ZStream blocks: slice k (the t^k coefficient) of A and eta reads B
   and theta below k, through t^s with s >= 1, and slice k of B and theta
   reads A and eta through k, so each slice of every block is computed once
-  and fed back into B and theta for the next order.  The same expression
-  evaluated with ZLaurent arithmetic at T must then reproduce every block
-  (stationarity check); its blocks are the ones returned.
+  and fed back into B and theta for the next order.  A second `_system_rhs`
+  call, over the ZLaurent values of the solved B and theta, must reproduce
+  them (stationarity check); its blocks are the ones returned.
 * Z: Lagrange inversion of Z = xb * Phi(Z) at order T, with the powers of
   Phi on the z-window [0, T]; one evaluation of the right-hand side at Z
   must give Z back.
@@ -34,7 +34,7 @@ from .dense import horner, s_inv, s_mul
 from .model import AssumptionViolation, ModelParams
 from .ring import (
     MPoly, TSeries, ZLaurent, ZStream, RingDomainError, RingUsageError,
-    divided_difference, is_zero, scalar_invert,
+    divided_difference, interpolate, is_zero, scalar_invert,
 )
 
 __all__ = [
@@ -127,31 +127,24 @@ def _half(colors, params: ModelParams, X, xi, one, lo, hi, weights, sign):
 def _solve_colors(colors, params: ModelParams) -> SpectralData:
     """Solve order by order: evaluate `_system_rhs` once over ZStream blocks
     and feed each slice of the new B and theta back into the unknown B and
-    theta, for k = 0..T.  The same expression evaluated with ZLaurent
-    arithmetic at T must reproduce every block, or this raises; its blocks
-    are returned."""
+    theta, for k = 0..T.  A second `_system_rhs` call over the ZLaurent
+    values of the solved B and theta must give them back, or this raises;
+    its blocks are returned."""
     T = params.T
-    weights = [*params.u, *params.p, *params.q, params.u_exp, *(c.u for c in colors)]
-    B = {c.label: ZStream.unknown(T, weights) for c in colors}
-    theta = ZStream.unknown(T, weights) if params.has_exp else None
-    A2, B2, eta2, theta2 = _system_rhs(colors, params, B, theta)
-    rhs = {**{("A", lbl): blk for lbl, blk in A2.items()},
-           **{("B", lbl): blk for lbl, blk in B2.items()}}
-    unknowns = {("B", lbl): blk for lbl, blk in B.items()}
-    if params.has_exp:
-        rhs["eta"], rhs["theta"], unknowns["theta"] = eta2, theta2, theta
+    B = {c.label: ZStream.unknown(T) for c in colors}
+    theta = ZStream.unknown(T) if params.has_exp else None
+    _, B2, _, theta2 = _system_rhs(colors, params, B, theta)
+    pairs = [(B[lbl], B2[lbl]) for lbl in B] + ([(theta, theta2)] if theta else [])
     for k in range(T + 1):
-        for key, x in unknowns.items():
-            x.feed(rhs[key].slice(k))
-    lazy = {key: blk.value() for key, blk in rhs.items()}
-    memo = {id(x): lazy[key] for key, x in unknowns.items()}
-    solved = {key: blk.eager(memo) for key, blk in rhs.items()}
-    if any(not solved[key] == lazy[key] for key in rhs):
+        for x, rhs in pairs:
+            x.feed(rhs.slice(k))
+    B = {lbl: blk.value() for lbl, blk in B2.items()}
+    theta = theta2.value() if theta else None
+    A3, B3, eta3, theta3 = _system_rhs(colors, params, B, theta)
+    if any(not B3[lbl] == B[lbl] for lbl in B) or (theta and not theta3 == theta):
         raise RingDomainError("system sweep did not become stationary")
-    return SpectralData(params=params, colors=tuple(colors),
-                        A={c.label: solved["A", c.label] for c in colors},
-                        B={c.label: solved["B", c.label] for c in colors},
-                        eta=solved.get("eta"), theta=solved.get("theta"))
+    return SpectralData(params=params, colors=tuple(colors), A=A3, B=B3,
+                        eta=eta3, theta=theta3)
 
 
 def solve_system(params: ModelParams) -> SpectralData:
@@ -210,10 +203,7 @@ def compute_Z(sd: SpectralData) -> TSeries:
         if n > 1:
             phi_n = phi_n.mul(phi, 0, T)
         for j, c in enumerate(phi_n.get(n - 1).coeffs):
-            if isinstance(c, MPoly):        # deformation variables
-                for m, v in (MPoly.var("xb", n) * c).terms.items():
-                    terms[j][m] = Fraction(v, n)
-            elif c:
+            if c:
                 terms[j][(("xb", n),)] = Fraction(c, n)
     Z = TSeries(T, [MPoly(t) for t in terms])
     xb = TSeries.const(T, MPoly.var("xb"))
@@ -250,10 +240,7 @@ def _zl_eval_poly(zl: ZLaurent, g: TSeries) -> TSeries:
 
 def reference_color(sd: SpectralData) -> ColorSpec:
     for c in sd.colors:
-        if isinstance(c.u, MPoly):
-            if c.u.constant_or_none() not in (None, 0):
-                return c
-        elif not is_zero(c.u):
+        if c.u:
             return c
     raise RingDomainError("no color with invertible weight")
 
@@ -266,8 +253,7 @@ def assemble_curve(sd: SpectralData):
         H = (sd.A[ref.label].mul(sd.B[ref.label])
              - ZLaurent.const(sd.T, 1)).scale(scalar_invert(ref.u))
         for c in sd.colors:
-            # polynomial weights are checked in exact tests
-            if c.label == ref.label or is_zero(c.u) or isinstance(c.u, MPoly):
+            if c.label == ref.label or not c.u:
                 continue
             Hc = (sd.A[c.label].mul(sd.B[c.label])
                   - ZLaurent.const(sd.T, 1)).scale(scalar_invert(c.u))
@@ -576,26 +562,30 @@ def insertion_identity_sides(params: ModelParams):
     curve value under scaling every internal white-face weight by "al",
     against the insertion-operator image of the cylinder series plus its
     diagonal shift.  Returns (lhs, rhs) as series with Laurent coefficients in
-    xb (exact equality is the test)."""
-    al = MPoly.var("al")
-    scaled = replace(params, p=tuple(al * pk for pk in params.p))
-    sd = solve_system(scaled)
-    Z = compute_Z(sd)
-    _, _, H = assemble_curve(sd)
-    ydisk = TSeries.const(sd.T, MPoly.var("xb")) * _h_at_Z(H, Z)
-    lhs = ydisk.map_coeffs(lambda c: c.diff("al") if isinstance(c, MPoly) else 0)
+    xb and al (exact equality is the test).
 
-    cyl = w02(sd)
-    rhs = TSeries.zero(sd.T)
-    for k in range(1, params.D1 + 1):
-        pk = params.p[k - 1]
-        coeff = cyl.map_coeffs(lambda c, k=k: c.coefficient_of("xb2", k + 1)
-                               if isinstance(c, MPoly) else MPoly())
-        rhs = rhs + coeff.scale(pk * Fraction(1, k))
-        rhs = rhs + TSeries.const(sd.T, MPoly.var("xb", 1 - k, pk))
-    rhs = rhs.map_coeffs(lambda c: c.rename({"xb1": "xb"})
-                         if isinstance(c, MPoly) else c)
-    return lhs, rhs
+    Both are polynomials in al, interpolated from solves at rational al: the
+    t^k coefficient of the disk has al-degree at most max(1, k - 1) (its
+    internal faces, or the diagonal shift at t^0), that of the cylinder at
+    most k - 2, so with d = max(1, T - 1), d + 1 nodes and one check node
+    suffice."""
+    def sides(al):
+        sd = solve_system(replace(params, p=tuple(al * pk for pk in params.p)))
+        Z = compute_Z(sd)
+        _, _, H = assemble_curve(sd)
+        ydisk = TSeries.const(sd.T, MPoly.var("xb")) * _h_at_Z(H, Z)
+        cyl = w02(sd)
+        rhs = TSeries.zero(sd.T)
+        for k in range(1, params.D1 + 1):
+            pk = params.p[k - 1]
+            coeff = cyl.map_coeffs(lambda c, k=k: c.coefficient_of("xb2", k + 1))
+            rhs = rhs + coeff.scale(pk * Fraction(1, k))
+            rhs = rhs + TSeries.const(sd.T, MPoly.var("xb", 1 - k, pk))
+        return ydisk, rhs.map_coeffs(lambda c: c.rename({"xb1": "xb"})
+                                     if isinstance(c, MPoly) else c)
+
+    ydisk, rhs = interpolate(sides, "al", range(max(params.T - 1, 1) + 2))
+    return ydisk.map_coeffs(lambda c: c.diff("al")), rhs
 
 
 def critical_t(m: int, r: int) -> float:

@@ -9,14 +9,14 @@ failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .model import AssumptionViolation, EllBounds, ModelParams
 from .oracle import build_table, tau_from_table, tau_schur, wgn_oracle
-from .ring import MPoly
+from .ring import MPoly, interpolate
 from .slices import (
     elementary_slice_residual, last_passage_check, tilde_transform,
     w01_bijective, w02_annular,
@@ -298,17 +298,38 @@ def suite_critical_values(cfg=None) -> CheckResult:
                        {"t01": t01, "t30": t30, "rel_dev": [d1, d2]})
 
 
-def suite_exp_extension(cfg=None) -> CheckResult:
-    params = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
-                              q=[F(2, 7)], T=3, u_exp=MPoly.var("v"))
-    sd = solve_system(params)
-    tab = build_table(params, 3, EllBounds(run_max=6, exp_run_max=8))
-    ok1 = (w01(sd) - _rename(wgn_oracle(tab, params, 0, 1),
-                             {"xb1": "xb"})).is_zero()
-    ok2 = (w02(sd) - wgn_oracle(tab, params, 0, 2)).is_zero()
+def exp_series_in_v(params: ModelParams, oracle_params: ModelParams):
+    """The disk and cylinder series of an exponential model as polynomials in
+    its weight v = u_exp, from the curve and from the enumeration.  At t^d
+    the genus-0 series have v-degree at most 2d - 2 (free transpositions), so
+    2T - 1 nodes and one check node suffice."""
+    tab = build_table(oracle_params, params.T,
+                      EllBounds(run_max=2 * params.T, exp_run_max=2 * params.T + 2))
 
+    def curve(v):
+        sd = solve_system(replace(params, u_exp=v))
+        return w01(sd), w02(sd)
+
+    def oracle(v):
+        pv = replace(oracle_params, u_exp=v)
+        return (_rename(wgn_oracle(tab, pv, 0, 1), {"xb1": "xb"}),
+                wgn_oracle(tab, pv, 0, 2))
+
+    nodes = range(2 * params.T)
+    return interpolate(curve, "v", nodes), interpolate(oracle, "v", nodes)
+
+
+def suite_exp_extension(cfg=None, oracle_params: ModelParams | None = None) -> CheckResult:
+    """The exponential model exact in v against the enumeration, and the
+    1/N convergence of its rational stand-in.  `oracle_params` exists for
+    sensitivity tests: feeding a corrupted model must flip this suite to
+    FAIL."""
     pe = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
                           q=[F(2, 7)], T=3, u_exp=F(1, 5))
+    (disk, cyl), (odisk, ocyl) = exp_series_in_v(pe, oracle_params or pe)
+    ok1 = (disk - odisk).is_zero()
+    ok2 = (cyl - ocyl).is_zero()
+
     sde = solve_system(pe)
     errs = []
     for N in (10 ** 2, 10 ** 4, 10 ** 6):

@@ -7,7 +7,10 @@ import pytest
 from wht import cli
 from wht.config import ConfigError, dump_config, load_config, parse_config
 from wht.model import ModelParams
-from wht.verify import suite_disk, tr_oracle_depth
+from wht.ring import MPoly, TSeries
+from wht.verify import (
+    suite_disk, suite_exp_extension, suite_insertion_identity, tr_oracle_depth,
+)
 
 
 BASE_CFG = {
@@ -179,6 +182,28 @@ def test_sensitivity_corrupted_weight_fails_disk():
                                  q=[F(3, 7), F(1, 2)], T=3)
     bad = suite_disk(oracle_params=corrupted)
     assert bad.status == "FAIL"
+
+
+def test_sensitivity_perturbed_cylinder_fails_insertion_identity(monkeypatch):
+    import wht.spectral as spectral
+    assert suite_insertion_identity().status == "PASS"
+    w02 = spectral.w02
+
+    def perturbed(sd):
+        # one extra xb1^2 xb2^2 term at t^3, which the p_1 insertion reads
+        return w02(sd) + TSeries.t_power(sd.T, 3, MPoly.var("xb1", 2) * MPoly.var("xb2", 2))
+    monkeypatch.setattr(spectral, "w02", perturbed)
+    assert suite_insertion_identity().status == "FAIL"
+
+
+def test_sensitivity_corrupted_weight_fails_exp_extension():
+    corrupted = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
+                                 q=[F(2, 7) + F(1, 97)], T=3, u_exp=F(1, 5))
+    bad = suite_exp_extension(oracle_params=corrupted)
+    assert bad.status == "FAIL"
+    assert not bad.details["disk_exact_in_v"]
+    assert not bad.details["cylinder_exact_in_v"]
+    assert bad.details["bulk_ratios"] == [100.0, 100.0]
 
 
 def test_tr_command_runs(tmp_path):

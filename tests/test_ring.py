@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wht.ring import (
     MPoly, TSeries, ZLaurent, ZStream, RingDomainError, RingUsageError,
-    divided_difference, is_zero, scalar_invert, _common, _mono_mul,
+    divided_difference, interpolate, is_zero, scalar_invert, _common, _mono_mul,
 )
 
 
@@ -383,16 +383,18 @@ def test_zlaurent_product_equals_pair_by_pair(ab, lo, hi):
         assert all(type(v) is int for ts in out.coeffs.values() for v in ts.coeffs)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 4).flatmap(lambda T: st.tuples(
-    blocks(T, poly_coeffs(["x"])), blocks(T, rationals))), clips, clips)
-def test_zlaurent_product_with_mpoly_coefficients(ab, lo, hi):
-    a, b = ab
-    out = a.mul(b, lo, hi)
-    ref = ref_zl_mul(a, b, lo, hi)
-    assert set(out.coeffs) == set(ref)
-    for e, ts in out.coeffs.items():
-        assert all(is_zero(c - r) for c, r in zip(ts.coeffs, ref[e]))
+def test_laurent_blocks_reject_mpoly_coefficients():
+    x = MPoly.var("x")
+    poly = ZLaurent(1, {0: TSeries(1, [1, x])})
+    with pytest.raises(RingUsageError, match="int or Fraction"):
+        poly.mul(ZLaurent.const(1, 1))
+    with pytest.raises(RingUsageError, match="int or Fraction"):
+        ZLaurent.const(1, 1).mul(poly, 0, 1)
+    blk = ZStream.unknown(1)
+    with pytest.raises(RingUsageError, match="not MPoly"):
+        blk.const(1, x)
+    with pytest.raises(RingUsageError, match="not MPoly"):
+        blk.const(1, 1).scale(MPoly.const(2))
 
 
 # --- laurent projections -----------------------------------------------------
@@ -446,9 +448,9 @@ def test_zlaurent_exp_window():
 # --- blocks computed order by order ------------------------------------------
 # Reference: the same operation on ZLaurent, which runs over the whole block.
 
-def stream(zl, scalars):
+def stream(zl):
     """zl as a ZStream built from constants: sum of c z^e t^k."""
-    factory = ZStream.unknown(zl.order, scalars)
+    factory = ZStream.unknown(zl.order)
     out = factory.const(zl.order, 0)
     for e, ts in zl.coeffs.items():
         for k, c in enumerate(ts.coeffs):
@@ -471,7 +473,7 @@ def one_signed(draw, T, sign, coeff):
 
 nonzero_rationals = rationals.filter(lambda c: c != 0)
 stream_cases = st.tuples(st.integers(0, 4), st.sampled_from([-1, 1]),
-                         st.sampled_from([rationals, poly_coeffs(["x", "y"])]))
+                         st.sampled_from([rationals, ints]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -480,15 +482,14 @@ stream_cases = st.tuples(st.integers(0, 4), st.sampled_from([-1, 1]),
 def test_stream_operations_equal_zlaurent(case):
     sign, f, g = case
     lo, hi = (-3, 0) if sign < 0 else (0, 3)
-    scalars = [c for zl in (f, g) for ts in zl.coeffs.values() for c in ts.coeffs]
-    sf, sg = stream(f, scalars), stream(g, scalars)
+    sf, sg = stream(f), stream(g)
     assert sf.value() == f
     assert sf.mul(sg, lo, hi).value() == f.mul(g, lo, hi)
     assert sf.invert(lo, hi).value() == f.invert(lo, hi)
     assert sf.power(3, lo, hi).value() == f.power(3, lo, hi)
     # exp needs a zero z^0 t^0 coefficient
     h = f - ZLaurent.const(f.order, f.get(0).coeffs[0])
-    assert stream(h, scalars).exp(lo, hi).value() == h.exp(lo, hi)
+    assert stream(h).exp(lo, hi).value() == h.exp(lo, hi)
     assert (sf + sg.scale(F(2, 3))).tshift(1).value() == (f + g.scale(F(2, 3))).tshift(1)
 
 
@@ -559,6 +560,28 @@ def test_divided_difference_reconstructs():
 def test_divided_difference_requires_shape():
     with pytest.raises(RingDomainError):
         divided_difference(mk_z([MPoly.const(1), MPoly()]))
+
+
+# --- interpolation in a parameter --------------------------------------------
+
+def lopsided(c, T=3):
+    """(1 + c xb t)^2 / (1 - c t) through t^T: degree k in c at t^k."""
+    num = TSeries(T, [1, c * xb] + [0] * (T - 1))
+    return num * num * TSeries(T, [1, -c] + [0] * (T - 1)).invert()
+
+
+def test_interpolate_reproduces_polynomial_coefficients():
+    a = MPoly.var("a")
+    nodes = [F(k, 2) for k in range(-2, 3)]     # degree 3 and one check node
+    out, low = interpolate(lambda c: (lopsided(c), lopsided(c, 2)), "a", nodes)
+    assert out == lopsided(a) and low == lopsided(a, 2)
+    assert all(isinstance(c, MPoly) for c in out.coeffs)
+    assert out.coeffs[3].coefficient_of("a", 3) == 1 + 2 * xb + xb * xb
+
+
+def test_interpolate_raises_when_one_node_short():
+    with pytest.raises(RingDomainError, match="misses the node"):
+        interpolate(lambda c: (lopsided(c),), "a", range(4))
 
 
 # --- misc MPoly behaviour ----------------------------------------------------

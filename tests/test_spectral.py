@@ -14,7 +14,9 @@ import pytest
 
 from wht.model import AssumptionViolation, EllBounds, ModelParams
 from wht.oracle import build_table, wgn_oracle
-from wht.ring import MPoly, RingDomainError, TSeries, ZLaurent, divided_difference
+from wht.ring import (
+    MPoly, RingDomainError, TSeries, ZLaurent, ZStream, divided_difference, interpolate,
+)
 from wht.spectral import (
     _critical_point, assemble_curve, compute_Z, critical_t, formal_branchpoints,
     initial_ramification, insertion_identity_sides, solve_bulk_approximation,
@@ -78,6 +80,11 @@ def test_defining_equation_residuals_vanish():
     ("p", {"p": [1 / 3]}),
     ("q", {"q": [F(2, 7), 0.2j]}),
     ("u_exp", {"u_exp": 0.25}),
+    # a weight that is a polynomial is interpolated instead (ring.interpolate)
+    ("u", {"u": [F(1, 2), MPoly.var("al")]}),
+    ("p", {"p": [MPoly.var("al", 1, F(1, 3))]}),
+    ("q", {"q": [MPoly.const(F(2, 7))]}),
+    ("u_exp", {"u_exp": MPoly.var("v")}),
 ])
 def test_model_rejects_inexact_weights(field, kwargs):
     base = dict(m=1, r=1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)], q=[F(2, 7)], T=3)
@@ -142,18 +149,10 @@ def listing(zl):
     return [(e, repr(ts)) for e, ts in zl.coeffs.items()]
 
 
-def al_scaled(params):
-    al = MPoly.var("al")
-    return replace(params, p=tuple(al * pk for pk in params.p))
-
-
-EXP_V = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)], q=[F(2, 7)],
-                         T=4, u_exp=MPoly.var("v"))
-
 SWEEP_CASES = {
     **{f"{m}{r}": _concordance_params(m, r, 6) for (m, r) in CONCORDANCE_MODELS},
     "seed101-21": SEED101_21, "seed101-20": SEED101_20,
-    "exp": EXP_11, "exp-v": EXP_V, "al": al_scaled(GENERIC_11),
+    "exp": EXP_11,
     # D1 = D2 = 3: at orders k < 2 the sweeps multiply by t^s with s > k + 1
     "D3": ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3), F(2), F(3, 4)],
                            q=[F(2, 7), F(1, 5), F(5, 3)], T=6, u_exp=F(1, 7)),
@@ -194,12 +193,16 @@ def test_solved_blocks_keep_their_digest(params, digest):
 
 
 def test_solve_evaluates_the_system_once(monkeypatch):
+    # once over ZStream blocks, then once more over their ZLaurent values
     import wht.spectral as spectral
     calls = []
     rhs = spectral._system_rhs
     monkeypatch.setattr(spectral, "_system_rhs", lambda *a: calls.append(a) or rhs(*a))
     solve_system(EXP_11)
-    assert len(calls) == 1
+    assert len(calls) == 2
+    for blocks, kind in zip(calls, (ZStream, ZLaurent)):
+        _, _, B, theta = blocks
+        assert all(type(b) is kind for b in (*B.values(), theta))
 
 
 def test_solve_leaves_no_reference_cycles():
@@ -215,11 +218,11 @@ def test_solve_leaves_no_reference_cycles():
 
 
 def test_solve_raises_when_not_stationary(monkeypatch):
-    # a lazy route that computes wrong slices is caught by the eager check
+    # a lazy route that computes wrong slices is caught by the ZLaurent check
     import wht.ring as ring
     products = ring._products
-    monkeypatch.setattr(ring, "_products", lambda K, pairs, lo, hi, den=1:
-                        products(K, pairs, lo, hi, den + 1 if den > 1 else den))
+    monkeypatch.setattr(ring, "_products", lambda pairs, lo, hi, den=1:
+                        products(pairs, lo, hi, den + 1 if den > 1 else den))
     with pytest.raises(RingDomainError, match="stationary"):
         solve_system(EXP_11)
 
@@ -238,8 +241,8 @@ def z_by_fixed_point(sd):
 
 @pytest.mark.parametrize("params", [
     *(_concordance_params(m, r, 6) for (m, r) in CONCORDANCE_MODELS),
-    replace(EXP_11, T=5), EXP_V, al_scaled(GENERIC_11),
-], ids=[f"{m}{r}" for (m, r) in CONCORDANCE_MODELS] + ["exp", "exp-v", "al"])
+    replace(EXP_11, T=5),
+], ids=[f"{m}{r}" for (m, r) in CONCORDANCE_MODELS] + ["exp"])
 def test_Z_by_lagrange_inversion_equals_fixed_point(params):
     sd = solve_system(params)
     assert repr(compute_Z(sd)) == repr(z_by_fixed_point(sd))
@@ -372,13 +375,24 @@ def test_cylinder_11_matches_character_oracle_to_t5():
 
 
 def test_exponential_disk_cylinder_match_oracle():
+    # exact in v = u_exp: both sides interpolated from rational nodes v
     params = ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
-                              q=[F(2, 7)], T=3, u_exp=MPoly.var("v"))
-    sd = solve_system(params)
+                              q=[F(2, 7)], T=3, u_exp=F(1, 5))
     tab = build_table(params, 3, EllBounds(run_max=6, exp_run_max=8))
-    assert (w01(sd) - rename_series(
-        wgn_oracle(tab, params, 0, 1), {"xb1": "xb"})).is_zero()
-    assert (w02(sd) - wgn_oracle(tab, params, 0, 2)).is_zero()
+
+    def curve(v):
+        sd = solve_system(replace(params, u_exp=v))
+        return w01(sd), w02(sd)
+
+    def oracle(v):
+        pv = replace(params, u_exp=v)
+        return (rename_series(wgn_oracle(tab, pv, 0, 1), {"xb1": "xb"}),
+                wgn_oracle(tab, pv, 0, 2))
+    nodes = [F(k, 3) for k in range(6)]         # v-degree <= 2T - 2 = 4
+    (disk, cyl), (odisk, ocyl) = interpolate(curve, "v", nodes), interpolate(oracle, "v", nodes)
+    assert (disk - odisk).is_zero() and (cyl - ocyl).is_zero()
+    # the t^2 disk coefficient depends on v
+    assert disk.coeffs[2].coefficient_of("v", 2) == MPoly.var("xb", 2, F(2, 147))
 
 
 # --- stability and invariance -----------------------------------------------------
