@@ -17,12 +17,12 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
 from .model import EllBounds, ModelParams
-from .ring import MPoly, TSeries, RingUsageError, is_zero
+from .ring import MPoly, TSeries, RingUsageError, _common, is_zero
 
 __all__ = [
     "ModelParams", "EllBounds", "HurwitzTable",
@@ -758,17 +758,20 @@ def tau_schur(params: ModelParams, d_max: int, u_symbolic=False,
     return TSeries(d_max, coeffs)
 
 
+def _weight(nu, w):
+    """Product of the face weights w over the parts of nu, 0 past the cap."""
+    out = 1
+    for part in nu:
+        out = out * (w[part - 1] if part <= len(w) else 0)
+    return out
+
+
 def _schur_value(lam, weights):
     """Schur polynomial in power sums with exact power-sum values; weights
     beyond the list are zero."""
-    d = sum(lam)
     total = 0
-    for mu in partitions(d):
-        if any(part > len(weights) for part in mu):
-            continue
-        pm = 1
-        for part in mu:
-            pm = pm * weights[part - 1]
+    for mu in partitions(sum(lam)):
+        pm = _weight(mu, weights)
         if is_zero(pm):
             continue
         chi = character_value(lam, mu)
@@ -827,38 +830,46 @@ def tau_from_table(table: HurwitzTable, params: ModelParams, d_max: int,
                    symbolic_pq=False) -> TSeries:
     """Assemble the (dis)connected generating series from enumerated counts:
     sign (-1)^(sum of run lengths), weight u^ell v^ell_exp / ell_exp!, divided
-    by d!."""
-    coeffs = [0] * (d_max + 1)
-    if not connected:
-        coeffs[0] = 1
+    by d!.  Keys that carry the same monomial are summed first, in the order
+    of their first key, and each sum enters as one term."""
+    groups = {}
     for key, count in table.entries(connected=True if connected else None):
         lam, mu, ell, ell_exp, _ = key
         d = sum(lam)
         if d > d_max:
             continue
-        sign = (-1) ** sum(ell[params.m:])
-        w = Fraction(sign * count, factorial(d))
-        term = w
+        w = Fraction((-1) ** sum(ell[params.m:]) * count, factorial(d))
         if symbolic_pq:
-            for part in lam:
-                term = term * MPoly.var(f"p{part}")
-            for part in mu:
-                term = term * MPoly.var(f"q{part}")
+            group = (d, ell, ell_exp, lam, mu)
         else:
-            for part in lam:
-                term = term * (params.p[part - 1] if part <= params.D1 else 0)
-            for part in mu:
-                term = term * (params.q[part - 1] if part <= params.D2 else 0)
-            if is_zero(term):
+            w = w * _weight(lam, params.p) * _weight(mu, params.q)
+            if not w:
                 continue
+            group = (d, ell, ell_exp)
+        groups[group] = groups.get(group, 0) + w
+    coeffs = [0] * (d_max + 1)
+    if not connected:
+        coeffs[0] = 1
+    for (d, ell, ell_exp, *pq), w in groups.items():
+        mono = Counter()
+        if symbolic_pq:
+            mono.update(f"p{part}" for part in pq[0])
+            mono.update(f"q{part}" for part in pq[1])
         for c, e in enumerate(ell):
             if e:
-                term = term * ((MPoly.var(f"u{c}") ** e) if u_symbolic
-                               else params.u[c] ** e)
+                if u_symbolic:
+                    mono[f"u{c}"] = e
+                else:
+                    w = w * params.u[c] ** e
         if ell_exp:
-            ve = MPoly.var("v") ** ell_exp if u_symbolic else params.u_exp ** ell_exp
-            term = term * ve * Fraction(1, factorial(ell_exp))
-        coeffs[d] = coeffs[d] + term
+            if u_symbolic:
+                mono["v"] = ell_exp
+            else:
+                w = w * params.u_exp ** ell_exp
+            w = w * Fraction(1, factorial(ell_exp))
+        if mono:
+            w = MPoly({tuple(sorted(mono.items())): w} if w else None)
+        coeffs[d] = coeffs[d] + w
     return TSeries(d_max, coeffs)
 
 
@@ -866,191 +877,183 @@ def tau_from_table(table: HurwitzTable, params: ModelParams, d_max: int,
 # genus-graded character route: correlators without enumeration
 #
 # Substituting p -> p/N, q -> q/N, u -> u N makes the connected genus-g part
-# of the logarithm the coefficient of N^(2g-2).  With rational weights the
-# coefficients are short Laurent polynomials in N, so the logarithm and its
-# face-weight derivatives are cheap at sizes far beyond what exhaustive
-# enumeration can reach.  Grading-exponent window: any single factor that can
-# multiply into the extracted exponent 2g-2 satisfies
-# 2g-2 - 2*d_max <= e <= 2g-2 + 2*d_max, since every term of the t^d
-# coefficient has e >= -2d; clipping to that window is lossless.
+# of log tau the coefficient of N^(2g-2).  Per size d, with X_d the character
+# table of S_d and W_lam the product of G(c N) over the boxes of lam,
+#
+#   tau-hat_d = sum_mu p_mu / z_mu N^-l(mu) C_d[mu],   C_d = X_d^T B,
+#   B_lam = W_lam s_lam(q/N):
+#
+# one integer matrix product per d, shared by tau-hat and every face-weight
+# derivative, which contract C_d with their own vector over mu.  A row
+# N^-l(mu) C_d[mu] counts possibly disconnected surfaces: its N-exponents
+# are even and at least -2d, and only those up to top + 2(T - d) reach
+# [N^top] at order T.  So a degree-d row keeps N^(2(i-d)) at index
+# i < L = top/2 + T + 1, rows multiply as power series in i truncated at L,
+# and every kept entry is exact.  With u = a/Du and N = Du nu all weights
+# are integers, and a degree-d row is an integer row over Delta^d.
 
 
-def _nl_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+@cache
+def _character_matrix(d: int) -> np.ndarray:
+    """chi^lam(mu) for lam (rows) and mu (columns) in partitions(d)."""
+    parts = partitions(d)
+    return np.array([[character_value(lam, mu) for mu in parts]
+                     for lam in parts], dtype=object)
 
 
-def _nl_mul(a, b, lo, hi):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e < lo or e > hi:
-                continue
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+@lru_cache(maxsize=1 << 12)
+def _content_functions(lam, K: int) -> tuple:
+    """Elementary and complete symmetric functions of degrees up to K in the
+    box contents of lam."""
+    cs = [c for c in contents(lam) if c]
+    e, h = [1] + [0] * min(K, len(cs)), [1] + [0] * K
+    for c in cs:
+        for k in range(len(e) - 1, 0, -1):
+            e[k] += c * e[k - 1]
+        for k in range(1, K + 1):
+            h[k] += c * h[k - 1]
+    return tuple(e), tuple(h)
 
 
-def _nl_scale(a, c):
-    if not c:
-        return {}
-    return {e: v * c for e, v in a.items()}
-
-
-def _graded_content_weight(lam, params: ModelParams, lo, hi):
-    """Content product with u -> u N, as a grading-Laurent dict."""
-    w = {0: Fraction(1)}
-    for c in contents(lam):
-        for i in range(params.m):
-            w = _nl_mul(w, {0: Fraction(1), 1: params.u[i] * c}, lo, hi)
-        for j in range(params.m, params.M):
-            box = {0: Fraction(1)}
-            term = Fraction(1)
-            for ell in range(1, hi + 1):
-                term = term * (-c) * params.u[j]
-                if term == 0:
-                    break
-                box[ell] = term
-            w = _nl_mul(w, box, lo, hi)
-        if params.has_exp:
-            box = {0: Fraction(1)}
-            term = Fraction(1)
-            for ell in range(1, hi + 1):
-                term = term * c * params.u_exp / ell
-                if term == 0:
-                    break
-                box[ell] = term
-            w = _nl_mul(w, box, lo, hi)
+def _content_row(lam, a, params: ModelParams, K: int) -> np.ndarray:
+    """prod over boxes of G(c nu) to nu^K for the integer weights a, times K!
+    when the exponential weight (last in a) is on."""
+    e, h = _content_functions(lam, K)
+    factors = [[x * ai ** k for k, x in enumerate(e)] for ai in a[:params.m]]
+    factors += [[x * (-aj) ** k for k, x in enumerate(h)]
+                for aj in a[params.m:params.M]]
+    if params.has_exp:
+        x = a[params.M] * sum(contents(lam))
+        factors.append([x ** k * (factorial(K) // factorial(k))
+                        for k in range(K + 1)])
+    w = np.array([1] + [0] * K, dtype=object)
+    for f in factors:
+        w = np.convolve(w, np.array(f, dtype=object))[:K + 1]
     return w
 
 
-def _graded_schur(lam, weights, derivs):
-    """Graded Schur value with 0, 1, or 2 face-weight derivatives taken
-    (derivs is a tuple of part sizes); each power-sum monomial carries
-    N^(-number of parts) including the differentiated ones."""
-    d = sum(lam)
+def _stack_weights(mu, depth: int, pn) -> dict:
+    """{dv: weight} over the ordered removals dv of `depth` parts of mu, that
+    is d^depth p_mu / dp_dv: multiplicity factors times the weights of the
+    parts that stay.  Zero weights are left out."""
     out = {}
-    for mu in partitions(d):
-        mult = {}
-        for part in mu:
-            mult[part] = mult.get(part, 0) + 1
-        coeff = Fraction(character_value(lam, mu), z_lambda(mu))
-        val = coeff
-        work = dict(mult)
-        ok = True
-        for i in derivs:
-            k = work.get(i, 0)
-            if k == 0:
-                ok = False
-                break
-            val = val * k
-            work[i] = k - 1
-        if not ok:
-            continue
-        for part, k in work.items():
-            if k == 0:
-                continue
-            if part > len(weights) or is_zero(weights[part - 1]):
-                val = 0
-                break
-            val = val * weights[part - 1] ** k
-        if val == 0:
-            continue
-        e = -len(mu)
-        out[e] = out.get(e, 0) + val
-    return {e: c for e, c in out.items() if c}
+
+    def rec(rest, dv, w):
+        if len(dv) == depth:
+            w = w * _weight(rest, pn)
+            if w:
+                out[dv] = w
+            return
+        for part in set(rest):
+            k = rest.index(part)
+            rec(rest[:k] + rest[k + 1:], dv + (part,), w * rest.count(part))
+
+    rec(tuple(mu), (), 1)
+    return out
 
 
-def _graded_tau_family(params: ModelParams, d_max: int, derivs_list, g_target):
-    """Series (lists of grading dicts) for tau-hat and its requested
-    derivative stacks, on the lossless window around 2 g_target - 2."""
-    lo = 2 * g_target - 2 - 2 * d_max
-    hi = 2 * g_target - 2 + 2 * d_max
-    fam = {dv: [{} for _ in range(d_max + 1)] for dv in derivs_list}
-    if () in fam:
-        fam[()][0] = {0: Fraction(1)}
-    for d in range(1, d_max + 1):
-        for lam in partitions(d):
-            w = _graded_content_weight(lam, params, lo, hi)
-            if not w:
-                continue
-            sq = _graded_schur(lam, params.q, ())
-            if not sq:
-                continue
-            base = _nl_mul(w, sq, lo, hi)
-            for dv in derivs_list:
-                sp = _graded_schur(lam, params.p, dv)
-                if not sp:
-                    continue
-                fam[dv][d] = _nl_add(fam[dv][d], _nl_mul(base, sp, lo, hi))
-    return fam, lo, hi
+def _graded_tau_family(params: ModelParams, d_max: int, L: int, n: int):
+    """Per size b, the rows z_mu^-1 N^-l(mu) C_b[mu] as one integer matrix
+    over Delta^b, for the mu that keep a nonzero face weight after at most n
+    derivatives.  Returns (Delta, Dp, Du, pn, {b: (mus, matrix)}), where
+    p = pn / Dp and u = a / Du."""
+    a, Du, _ = _common(list(params.u) + [params.u_exp] * params.has_exp)
+    pn, Dp, _ = _common(params.p)
+    qn, Dq, _ = _common(params.q)
+    K = 2 * L - 2
+    omega = factorial(K) if params.has_exp else 1
+    Delta = omega * lcm(*range(1, d_max + 1)) ** 2 * Dp * Dq * Du ** 2
+    rows = {}
+    for b in range(1, d_max + 1):
+        parts, X = partitions(b), _character_matrix(b)
+        qcols = [k for k, nu in enumerate(parts) if _weight(nu, qn)]
+        mus = [k for k, mu in enumerate(parts)
+               if any(_stack_weights(mu, s, pn) for s in range(n + 1))]
+        if not qcols or not mus:
+            continue
+        # s_lam(q/N) over Qb, nu-exponents -b..-1 at columns 0..b-1
+        Qb = (Dq * Du) ** b * factorial(b)
+        G = np.zeros((len(qcols), b), dtype=object)
+        for r, k in enumerate(qcols):
+            nu = parts[k]
+            G[r, b - len(nu)] = _weight(nu, qn) * (
+                Qb // ((Dq * Du) ** len(nu) * z_lambda(nu)))
+        S = X[:, qcols] @ G
+        B = np.array([np.convolve(_content_row(lam, a, params, K), S[k])[:K + 1]
+                      for k, lam in enumerate(parts)], dtype=object)
+        C = X[:, mus].T @ B
+        # C[mu] at column j holds nu^(j - b); keep the even exponents of
+        # N^-l(mu) C[mu], from -2b up
+        mat = np.zeros((len(mus), L), dtype=object)
+        for r, k in enumerate(mus):
+            mu = parts[k]
+            s = len(mu) - b
+            i0 = (1 - s) // 2
+            col = C[r, 2 * i0 + s::2][:L - i0]
+            mat[r, i0:i0 + len(col)] = col * (
+                Delta ** b // (omega * Qb * (Dp * Du) ** len(mu) * z_lambda(mu)))
+        rows[b] = ([parts[k] for k in mus], mat)
+    return Delta, Dp, Du, pn, rows
 
 
 def _graded_series_log_derivs(params, d_max, boundary_degrees, g):
     """[N^(2g-2)] of the first (and second, when two boundary degree lists are
     given) face-weight derivatives of log tau-hat, as plain t-coefficients."""
-    n = len(boundary_degrees)
-    derivs_list = [()]
-    derivs_list += [(i,) for i in boundary_degrees[0]]
-    if n == 2:
-        derivs_list += [(i, j) for i in boundary_degrees[0]
-                        for j in boundary_degrees[1]]
-    fam, lo, hi = _graded_tau_family(params, d_max, derivs_list, g)
-    tau = fam[()]
-    # series inverse of tau-hat in the grading ring (t^0 term is 1)
-    inv = [{} for _ in range(d_max + 1)]
-    inv[0] = {0: Fraction(1)}
-    for k in range(1, d_max + 1):
-        acc = {}
-        for j in range(1, k + 1):
-            acc = _nl_add(acc, _nl_mul(tau[j], inv[k - j], lo, hi))
-        inv[k] = _nl_scale(acc, -1)
-    target = 2 * g - 2
+    n, T = len(boundary_degrees), d_max
+    keys = list(itertools.product(*boundary_degrees))
+    if T < 1:
+        return {dv: [0] * (T + 1) for dv in keys}
+    # rows keep N^(2(i-d)) for i < L; a ratio tau_i / tau is read up to N^2g
+    L = g + T + n - 1
+    Delta, Dp, Du, pn, rows = _graded_tau_family(params, T, L, n)
 
-    def logderiv_first(i):
-        # d log tau / dp_i = tau_i / tau
-        out = [0] * (d_max + 1)
-        for k in range(d_max + 1):
-            acc = {}
-            for j in range(k + 1):
-                acc = _nl_add(acc, _nl_mul(fam[(i,)][j], inv[k - j], lo, hi))
-            out[k] = acc.get(target, 0)
-        return out
+    # tau-hat and its series inverse, rows over Delta^k
+    tau = [np.zeros(L, dtype=object) for _ in range(T + 1)]
+    tau[0][0] = 1
+    for b, (mus, mat) in rows.items():
+        for mu, row in zip(mus, mat):
+            tau[b] = tau[b] + _weight(mu, pn) * row
+    inv = [tau[0]]
+    for k in range(1, T + 1):
+        inv.append(-sum(np.convolve(tau[j], inv[k - j])[:L]
+                        for j in range(1, k + 1)))
 
+    # row times inverse at the indices read: the target g - 1 + a at order
+    # a, for n = 2 the ratio window a - 1 .. a + g (exponents -2 .. 2g)
+    width, start = (1, g - 1) if n == 1 else (g + 2, -1)
+    ratio = {i: np.zeros(T * width, dtype=object)
+             for i in set(itertools.chain(*boundary_degrees))}
+    second = {dv: np.zeros(T, dtype=object) for dv in keys} if n == 2 else {}
+    for b, (mus, mat) in rows.items():
+        J = np.zeros((L, (T - b + 1) * width), dtype=object)
+        for a in range(b, T + 1):
+            for x in range(width):
+                i = a + start + x
+                J[:i + 1, (a - b) * width + x] = inv[a - b][i::-1]
+        for mu, prow in zip(mus, mat @ J):
+            for (i,), w in _stack_weights(mu, 1, pn).items():
+                if i in ratio:
+                    ratio[i][(b - 1) * width:] += w * prow
+            for dv, w in (_stack_weights(mu, 2, pn) if n == 2 else {}).items():
+                if dv in second:
+                    second[dv][b - 1:] += w * prow[g::width]
     if n == 1:
-        return {(i,): logderiv_first(i) for i in boundary_degrees[0]}
-    out = {}
-    ratio = {}
-    for i in set(boundary_degrees[0]) | set(boundary_degrees[1]):
-        r = [{} for _ in range(d_max + 1)]
-        for k in range(d_max + 1):
-            for j in range(k + 1):
-                r[k] = _nl_add(r[k], _nl_mul(fam[(i,)][j], inv[k - j], lo, hi))
-        ratio[i] = r
-    for i in boundary_degrees[0]:
-        for j in boundary_degrees[1]:
-            coeffs = [0] * (d_max + 1)
-            for k in range(d_max + 1):
-                acc = {}
-                for a in range(k + 1):
-                    acc = _nl_add(acc, _nl_mul(fam[(i, j)][a], inv[k - a],
-                                               lo, hi))
-                for a in range(k + 1):
-                    acc = _nl_add(acc, _nl_scale(
-                        _nl_mul(ratio[i][a], ratio[j][k - a], lo, hi), -1))
-                coeffs[k] = acc.get(target, 0)
-            out[(i, j)] = coeffs
-    return out
+        nums = {dv: ratio[dv[0]] for dv in keys}
+    else:
+        # d2 log tau = tau_ij / tau - (tau_i / tau)(tau_j / tau)
+        nums = second
+        order = {i: r for r, i in enumerate(ratio)}
+        R = np.array([row.reshape(T, width) for row in ratio.values()])
+        for k in range(2, T + 1):
+            M = sum(R[:, a - 1] @ R[:, k - a - 1, ::-1].T for a in range(1, k))
+            for (i, j), num in nums.items():
+                num[k - 1] -= M[order[i], order[j]]
+    # back to N, [N^e] = Du^-e [nu^e], with the Dp of each derivative
+    e = 2 * g - 2
+    top, bottom = Dp ** n * Du ** max(-e, 0), Du ** max(e, 0)
+    return {dv: [0] + [Fraction(v * top, Delta ** k * bottom) if v else 0
+                       for k, v in enumerate(num, start=1)]
+            for dv, num in nums.items()}
 
 
 def wgn_via_characters(params: ModelParams, d_max: int, g: int,
@@ -1061,22 +1064,15 @@ def wgn_via_characters(params: ModelParams, d_max: int, g: int,
     the character values), so the two oracles cross-check each other."""
     if n not in (1, 2):
         raise RingUsageError("character route implemented for n in {1, 2}")
-    degrees = list(range(1, d_max + 1))
-    data = _graded_series_log_derivs(
-        params, d_max, [degrees] * n, g)
+    data = _graded_series_log_derivs(params, d_max, [range(1, d_max + 1)] * n, g)
     coeffs = [MPoly() for _ in range(d_max + 1)]
-    if n == 1:
-        for (i,), series in data.items():
-            mark = MPoly.var("xb1", i + 1, i)
-            for d in range(d_max + 1):
-                if series[d]:
-                    coeffs[d] = coeffs[d] + mark * series[d]
-    else:
-        for (i, j), series in data.items():
-            mark = MPoly.var("xb1", i + 1, i) * MPoly.var("xb2", j + 1, j)
-            for d in range(d_max + 1):
-                if series[d]:
-                    coeffs[d] = coeffs[d] + mark * series[d]
+    for dv, series in data.items():
+        mark = MPoly.var("xb1", dv[0] + 1, dv[0])
+        if n == 2:
+            mark = mark * MPoly.var("xb2", dv[1] + 1, dv[1])
+        for d, c in enumerate(series):
+            if c:
+                coeffs[d] = coeffs[d] + mark * c
     return TSeries(d_max, coeffs)
 
 
@@ -1090,41 +1086,36 @@ def wgn_oracle(table: HurwitzTable, params: ModelParams, g: int, n: int,
 
     Rooting replaces n face-weight factors (with multiplicity) by marked
     boundary monomials i * xb_j^(i+1); surviving internal faces must respect
-    the degree caps.  Coefficients are polynomials in xb1..xbn.
+    the degree caps.  Coefficients are polynomials in xb1..xbn.  The scalar
+    weights of the keys of one lambda are summed first, so the markings of
+    each lambda are built once.
     """
     dcov = sorted(table.coverage)
     if d_max is None:
         d_max = dcov[-1] if dcov else 0
     if not dcov or d_max > dcov[-1]:
         raise RingUsageError("requested order beyond table coverage")
-    T = d_max
-    coeffs = [MPoly() for _ in range(T + 1)]
+    weights = {}
     for key, count in table.entries(connected=True):
         lam, mu, ell, ell_exp, _ = key
         d = sum(lam)
-        if d > d_max:
+        if d > d_max or table.genus_numerator(key) != 2 * g:
             continue
-        if table.genus_numerator(key) != 2 * g:
-            continue
-        if any(part > params.D2 for part in mu):
-            continue
-        sign = (-1) ** sum(ell[params.m:])
-        w = Fraction(sign * count, factorial(d))
-        term = MPoly.const(w)
-        for part in mu:
-            term = term * params.q[part - 1]
+        w = Fraction((-1) ** sum(ell[params.m:]) * count, factorial(d))
+        w = w * _weight(mu, params.q)
         for c, e in enumerate(ell):
             if e:
-                term = term * params.u[c] ** e
+                w = w * params.u[c] ** e
         if ell_exp:
-            term = term * (params.u_exp ** ell_exp * Fraction(1, factorial(ell_exp)))
-        if term.is_zero():
-            continue
-        marked = _apply_markings(lam, n, params)
-        if marked.is_zero():
-            continue
-        coeffs[d] = coeffs[d] + term * marked
-    return TSeries(T, coeffs)
+            w = w * (params.u_exp ** ell_exp * Fraction(1, factorial(ell_exp)))
+        if w:
+            weights[lam] = weights.get(lam, 0) + w
+    coeffs = [MPoly() for _ in range(d_max + 1)]
+    for lam, w in weights.items():
+        if w:
+            d = sum(lam)
+            coeffs[d] = coeffs[d] + MPoly.const(w) * _apply_markings(lam, n, params)
+    return TSeries(d_max, coeffs)
 
 
 def _apply_markings(lam, n, params: ModelParams) -> MPoly:

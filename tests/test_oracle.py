@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wht.model import EllBounds, ModelParams
 from wht.oracle import (
@@ -293,6 +295,214 @@ def test_character_route_exponential():
     a = wgn_oracle(tab, params, 0, 1)
     b = wgn_via_characters(params, 3, 0, 1)
     assert (a - b).is_zero()
+
+
+def test_character_route_exact_past_the_order():
+    # genus 4 and 5 at t^3 need content weights of degree far above T; the
+    # route must not clip them (runs up to 14 cover every key of size 3)
+    from wht.oracle import wgn_via_characters
+    params = small_params(0, 1, 3)
+    tab = build_table(params, 3, EllBounds(run_max=14))
+    for g in (4, 5):
+        for n in (1, 2):
+            a = wgn_oracle(tab, params, g, n)
+            assert not a.is_zero()
+            assert (a - wgn_via_characters(params, 3, g, n)).is_zero(), (g, n)
+
+
+# The graded route term by term, as Laurent dicts in N on the window
+# [2g-2-2T, 2g-2+2T]: one content product, one Schur value per derivative
+# stack and one Fraction product per term.  The matrix route must give the
+# same series, term order and scalar types included.
+
+def _nl_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _nl_mul(a, b, lo, hi):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if lo <= e <= hi:
+                s = out.get(e, 0) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+    return out
+
+
+def _graded_content_weight(lam, params, lo, hi):
+    from wht.oracle import contents
+    w = {0: F(1)}
+    for c in contents(lam):
+        for i in range(params.m):
+            w = _nl_mul(w, {0: F(1), 1: params.u[i] * c}, lo, hi)
+        series = [-c * params.u[j] for j in range(params.m, params.M)]
+        if params.has_exp:
+            series.append(None)
+        for x in series:
+            box, term = {0: F(1)}, F(1)
+            for ell in range(1, hi + 1):
+                term = term * (x if x is not None else c * params.u_exp / ell)
+                if term == 0:
+                    break
+                box[ell] = term
+            w = _nl_mul(w, box, lo, hi)
+    return w
+
+
+def _graded_schur(lam, weights, derivs):
+    from wht.oracle import z_lambda
+    out = {}
+    for mu in partitions(sum(lam)):
+        work = {part: mu.count(part) for part in mu}
+        val = F(character_value(lam, mu), z_lambda(mu))
+        for i in derivs:
+            val = val * work.get(i, 0)
+            work[i] = work.get(i, 0) - 1
+        for part, k in work.items():
+            if k > 0:
+                val = val * (weights[part - 1] if part <= len(weights) else 0) ** k
+        if val:
+            out = _nl_add(out, {-len(mu): val})
+    return out
+
+
+def _reference_wgn(params, T, g, n):
+    lo, hi, target = 2 * g - 2 - 2 * T, 2 * g - 2 + 2 * T, 2 * g - 2
+    degrees = range(1, T + 1)
+    stacks = [()] + [(i,) for i in degrees]
+    if n == 2:
+        stacks += [(i, j) for i in degrees for j in degrees]
+    fam = {dv: [{} for _ in range(T + 1)] for dv in stacks}
+    fam[()][0] = {0: F(1)}
+    for d in degrees:
+        for lam in partitions(d):
+            base = _nl_mul(_graded_content_weight(lam, params, lo, hi),
+                           _graded_schur(lam, params.q, ()), lo, hi)
+            for dv in stacks:
+                fam[dv][d] = _nl_add(fam[dv][d], _nl_mul(
+                    base, _graded_schur(lam, params.p, dv), lo, hi))
+
+    inv = [{0: F(1)}] + [{} for _ in range(T)]
+    for k in degrees:
+        for j in range(1, k + 1):
+            inv[k] = _nl_add(inv[k], {e: -c for e, c in _nl_mul(
+                fam[()][j], inv[k - j], lo, hi).items()})
+
+    def times_inverse(x):
+        return [reduce(_nl_add, (_nl_mul(x[j], inv[k - j], lo, hi)
+                                 for j in range(k + 1)), {})
+                for k in range(T + 1)]
+
+    ratio = {i: times_inverse(fam[(i,)]) for i in degrees}
+    coeffs = [MPoly() for _ in range(T + 1)]
+    for dv in stacks[1:]:
+        if len(dv) != n:
+            continue
+        series = times_inverse(fam[dv]) if n == 2 else ratio[dv[0]]
+        mark = MPoly.var("xb1", dv[0] + 1, dv[0])
+        if n == 2:
+            mark = mark * MPoly.var("xb2", dv[1] + 1, dv[1])
+        for k in range(T + 1):
+            acc = series[k]
+            if n == 2:
+                for a in range(k + 1):
+                    acc = _nl_add(acc, {e: -c for e, c in _nl_mul(
+                        ratio[dv[0]][a], ratio[dv[1]][k - a], lo, hi).items()})
+            if acc.get(target, 0):
+                coeffs[k] = coeffs[k] + mark * acc[target]
+    return coeffs
+
+
+def _assert_same_series(params, T, g, n):
+    from wht.oracle import wgn_via_characters
+    got = list(wgn_via_characters(params, T, g, n).coeffs)
+    ref = _reference_wgn(params, T, g, n)
+    assert got == ref, (T, g, n)
+    for a, b in zip(got, ref):
+        assert [(m, type(c), c) for m, c in a.terms.items()] == \
+            [(m, type(c), c) for m, c in b.terms.items()], (T, g, n)
+
+
+def _route_models():
+    from wht.verify import CONCORDANCE_MODELS, _concordance_params
+    models = {f"{m}{r}": _concordance_params(m, r, 5) for (m, r) in CONCORDANCE_MODELS}
+    models["exp"] = small_params(1, 1, 4, u_exp=F(-2, 5))
+    return models
+
+
+@pytest.mark.parametrize("name", list(_route_models()))
+def test_character_route_equals_term_by_term(name):
+    params = _route_models()[name]
+    for T in ((2, 4) if params.has_exp else (2, 5)):
+        for g in (0, 1, 2):
+            for n in (1, 2):
+                _assert_same_series(params, T, g, n)
+
+
+_small = st.fractions(-3, 3, max_denominator=5)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(sum).flatmap(
+    lambda mr: st.tuples(
+        st.just(mr),
+        st.lists(_small.filter(bool), min_size=sum(mr), max_size=sum(mr)),
+        st.lists(_small, min_size=1, max_size=3),
+        st.lists(_small, min_size=1, max_size=3),
+        st.none() | _small.filter(bool))),
+    st.integers(1, 3), st.integers(0, 2), st.integers(1, 2))
+def test_character_route_equals_term_by_term_drawn(model, T, g, n):
+    (m, r), u, p, q, u_exp = model
+    params = ModelParams.make(m, r, u=u, p=p, q=q, T=T, u_exp=u_exp)
+    _assert_same_series(params, T, g, n)
+
+
+# sha256 prefixes of repr(list(c.terms.items())) per coefficient, t^0..t^10,
+# of the README model: pins terms, their order and the scalar types
+FROZEN_D10 = {
+    (0, 1): ("4f53cda18c2baa0c", "8667a73aa9ad8819", "0cd47dbc53881ce7",
+             "5bc1b71d5d4f9e1d", "bc31bf064ae984fe", "9dc65a5ed3cc0e85",
+             "4ae66e0a58cc338c", "174380804d48e5cb", "a2b33853d4d67824",
+             "49f5c3dd6caae21b", "b1a7999784ff5255"),
+    (0, 2): ("4f53cda18c2baa0c", "4f53cda18c2baa0c", "0ff7e2c0dd89baef",
+             "f377c5f6164d2b35", "95f5dcab776a6e7b", "de7805749e5bbd1d",
+             "58a838dbd22ba6cd", "970cde2c76f85ec0", "c56796139b390392",
+             "da7f98ea7559eed8", "a9963f6d9528bdd5"),
+    (1, 1): ("4f53cda18c2baa0c", "4f53cda18c2baa0c", "4f53cda18c2baa0c",
+             "4f53cda18c2baa0c", "16c4b3e76d2c9586", "c5dd98de9c4714a0",
+             "9149a70d3b26f121", "3b81e0c0147db27e", "3f114c2c28ff6ae3",
+             "9356a7cb9f483cca", "a44ba41eb7f4c54b"),
+    (1, 2): ("4f53cda18c2baa0c", "4f53cda18c2baa0c", "4f53cda18c2baa0c",
+             "4f53cda18c2baa0c", "4f53cda18c2baa0c", "4f53cda18c2baa0c",
+             "024fcd717de7383c", "425ebc29b4f72bf6", "38f63af8f0709280",
+             "87bf38c452b19f1f", "caae79779eb09635"),
+    (2, 1): ("4f53cda18c2baa0c", "4f53cda18c2baa0c", "4f53cda18c2baa0c",
+             "4f53cda18c2baa0c", "4f53cda18c2baa0c", "4f53cda18c2baa0c",
+             "4f53cda18c2baa0c", "4f53cda18c2baa0c", "8423a98e81c4327f",
+             "e766b9af18bbe957", "902b318553195da7"),
+}
+
+
+@pytest.mark.parametrize("gn", list(FROZEN_D10))
+def test_character_route_frozen_at_d10(gn):
+    import hashlib
+    from wht.oracle import wgn_via_characters
+    readme = ModelParams.make(m=1, r=0, u=[F(1, 2)], p=[F(1, 6), F(1, 10)],
+                              q=[F(1, 5), F(1, 8)], T=10)
+    got = tuple(hashlib.sha256(repr(list(c.terms.items())).encode()).hexdigest()[:16]
+                for c in wgn_via_characters(readme, 10, *gn).coeffs)
+    assert got == FROZEN_D10[gn]
 
 
 # --- explicit tuples ------------------------------------------------------------

@@ -292,7 +292,7 @@ def test_quadrature_double_check(curve10):
         assert omega.quadrature[gn] <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP open item 6 (quadrature check "
+@pytest.mark.xfail(strict=True, reason="ROADMAP open item 5 (quadrature check "
                    "at high pole order): 2.6e-5 at (2,1) with radii 0.05, 0.08")
 def test_quadrature_genus_two(curve10):
     omega = tr_compute(curve10, 2, 1, quadrature_check=True)
