@@ -18,8 +18,6 @@ products, and builds one ``Fraction`` per output coefficient instead of one
 per term product:
 
 * ``TSeries.__mul__`` on rational coefficients convolves two numerator lists;
-* ``ZLaurent.mul`` takes one denominator per block and convolves the
-  numerator rows in (z-exponent, t-order), clip kept;
 * ``TSeries.__mul__`` on MPoly coefficients, and ``invert`` and ``log`` on
   any, hold each coefficient as (monomial code, numerator) pairs over one
   denominator per operand (``_Terms``) and accumulate ``{monomial: int}``
@@ -29,10 +27,12 @@ per term product:
 * ``ZStream`` computes a Laurent block one t^k slice at a time: a slice is
   one row of (z-exponent, numerator) pairs over one reduced denominator,
   and each product, inverse or exponential slice is one accumulation over
-  the slices below it.
+  the slices below it; ``ZLaurent``'s products, powers, inverses and
+  exponentials run on these kernels too.
 
 An output coefficient is an ``int`` when no operand holds a ``Fraction``,
-and a scalar zero is the int 0; ``invert`` and ``log`` return Fractions.  As
+and a scalar zero is the int 0; ``invert`` and ``log`` return Fractions.  A
+block coefficient is an ``int`` when its whole t^k slice is integral.  As
 in a term-by-term sum, a series coefficient is an MPoly when an MPoly entered
 it: a cancelled product coefficient is ``MPoly()``, a cancelled coefficient
 of an inverse the int 0.
@@ -699,28 +699,14 @@ def _interpolant(cs, basis, name: str) -> MPoly:
 # Laurent polynomials in z with TSeries coefficients
 
 
-def _block(zl: "ZLaurent"):
-    """(rows, D, frac) of a block: a row (e, v, numerators) holds the z^e
-    series over the block's common denominator D from its valuation v on."""
-    r = _common([c for ts in zl.coeffs.values() for c in ts.coeffs])
-    if r is None:
-        raise RingUsageError("Laurent block coefficients must be int or Fraction")
-    nums, D, frac = r
-    n = zl.order + 1
-    rows = []
-    for i, e in enumerate(zl.coeffs):
-        row = nums[i * n:(i + 1) * n]
-        v = next(k for k, c in enumerate(row) if c)
-        rows.append((e, v, row[v:]))
-    return rows, D, frac
-
-
 PROJECTION_MODES = ("lt", "le", "gt", "ge")
 
 
 class ZLaurent:
     """Laurent polynomial in z over truncated t-series, with explicit window.
 
+    Sums, scalings, shifts and projections act on the stored TSeries; `mul`,
+    `power`, `invert` and `exp` run the ZStream slice kernels (`_stream`).
     The projection modes are exact coefficient filters on the z-exponent; the
     brace-style nonnegative part of a series in 1/z coincides with mode "ge".
     """
@@ -787,26 +773,7 @@ class ZLaurent:
         never re-enter the target window through later factors (all our uses
         multiply one-signed-exponent series).
         """
-        if self.order != other.order:
-            raise RingUsageError(
-                f"mixed truncation orders {self.order} != {other.order}")
-        (xa, Da, fa), (xb, Db, fb) = _block(self), _block(other)
-        T = self.order
-        acc: dict = {}
-        for e1, v1, x in xa:
-            for e2, v2, y in xb:
-                e = e1 + e2
-                if (lo is not None and e < lo) or (hi is not None and e > hi):
-                    continue
-                row = acc.get(e)
-                if row is None:
-                    row = acc[e] = [0] * (T + 1)
-                v = v1 + v2
-                for k in range(T + 1 - v):
-                    row[v + k] += sum(map(mul, x[:k + 1], y[k::-1]))
-        D, frac = Da * Db, fa or fb
-        return ZLaurent(T, {e: TSeries(T, [_rational(n, D, frac) for n in row])
-                            for e, row in acc.items() if any(row)})
+        return _stream(self).mul(_stream(other), lo, hi).value()
 
     def __mul__(self, other):
         if isinstance(other, ZLaurent):
@@ -845,47 +812,15 @@ class ZLaurent:
         return ZLaurent(self.order, {e: ts.tshift(s) for e, ts in self.coeffs.items()})
 
     def power(self, n: int, lo=None, hi=None) -> "ZLaurent":
-        return _power(self, n, lo, hi, ZLaurent.const(self.order, 1))
+        return _stream(self).power(n, lo, hi).value()
 
     def invert(self, lo: int, hi: int) -> "ZLaurent":
-        """Inverse on the window [lo, hi].
-
-        Needs a unit z^0 coefficient; the remaining support must consist of
-        negative exponents and/or positive exponents of positive t-valuation,
-        which is what guarantees the geometric series terminates on a window.
-        """
-        f0 = self.coeffs.get(0)
-        if f0 is None or not f0.is_unit():
-            raise RingDomainError("ZLaurent inversion needs a unit z^0 term")
-        inv0 = f0.invert()
-        n = (self.scale(inv0) - ZLaurent.const(self.order, 1)).clip(lo, hi)
-        max_iter = (self.order + 2) * (hi - lo + 2) + 4
-        acc = ZLaurent.const(self.order, 1)
-        term = ZLaurent.const(self.order, 1)
-        sign = 1
-        for _ in range(max_iter):
-            term = term.mul(n, lo, hi)
-            sign = -sign
-            if term.is_zero():
-                break
-            acc = acc + term.scale(sign)
-        else:
-            raise RingDomainError("ZLaurent inversion did not terminate on window")
-        return acc.scale(inv0).clip(lo, hi)
+        """Inverse on the window [lo, hi], as `ZStream.invert`."""
+        return _stream(self).invert(lo, hi).value()
 
     def exp(self, lo: int, hi: int) -> "ZLaurent":
-        """exp on the window [lo, hi]; terminates by exponent descent or t-valuation."""
-        max_iter = (self.order + 2) * (hi - lo + 2) + 4
-        acc = ZLaurent.const(self.order, 1)
-        power = ZLaurent.const(self.order, 1)
-        for k in range(1, max_iter + 1):
-            power = power.mul(self, lo, hi)
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction(1, factorial(k)))
-        else:
-            raise RingDomainError("ZLaurent exp did not terminate on window")
-        return acc
+        """exp on the window [lo, hi], as `ZStream.exp`."""
+        return _stream(self).exp(lo, hi).value()
 
     def eval_series(self, g: TSeries, ginv: TSeries | None = None) -> TSeries:
         """Evaluate at z = g; negative exponents use ginv = 1/g."""
@@ -928,20 +863,6 @@ class ZLaurent:
             return "ZLaurent{}"
         bits = [f"z^{e}: {ts!r}" for e, ts in sorted(self.coeffs.items())]
         return "ZLaurent{" + "; ".join(bits) + "}"
-
-
-def _power(x, n: int, lo, hi, one):
-    """x^n by binary powering, every product clipped to [lo, hi]."""
-    if n < 0:
-        raise RingDomainError("negative power; use invert")
-    result, base = one, x
-    while n:
-        if n & 1:
-            result = result.mul(base, lo, hi)
-        n >>= 1
-        if n:
-            base = base.mul(base, lo, hi)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +976,8 @@ class ZStream:
 
     A block has the ZLaurent operations that the spectral system uses, each
     returning a new block, so that one statement of a system runs over
-    either type.  Its coefficients are int or Fraction; an MPoly raises
+    either type; ZLaurent's own products, powers, inverses and exponentials
+    run here.  Its coefficients are int or Fraction; an MPoly raises
     `RingUsageError`.  An `unknown` block receives its slices from `feed`: a
     system X = F(X) whose right-hand side reads X only through tshift(s >= 1)
     is solved by feeding each slice of F(X) back into X.  Slice k of
@@ -1141,10 +1063,22 @@ class ZStream:
         return self._derive(rule, other, self.val + other.val)
 
     def power(self, n: int, lo=None, hi=None) -> "ZStream":
-        return _power(self, n, lo, hi, self.const(self.order, 1))
+        """x^n by binary powering, every product clipped to [lo, hi]."""
+        if n < 0:
+            raise RingDomainError("negative power; use invert")
+        result, base = self.const(self.order, 1), self
+        while n:
+            if n & 1:
+                result = result.mul(base, lo, hi)
+            n >>= 1
+            if n:
+                base = base.mul(base, lo, hi)
+        return result
 
     def invert(self, lo: int, hi: int) -> "ZStream":
-        """Inverse on the window [lo, hi] (lo <= 0 <= hi), as `ZLaurent.invert`."""
+        """Inverse on the window [lo, hi] (lo <= 0 <= hi).  Slice 0 needs a
+        unit z^0 coefficient and no positive exponent; then every slice is a
+        finite sum on the window."""
         # the rule reads the inverse's earlier slices through this list, which
         # the new block shares: a closure over the block itself would make a
         # reference cycle, and every solve would wait for the cyclic collector
@@ -1161,7 +1095,8 @@ class ZStream:
         return self._derive(rule, val=0, slices=inv)
 
     def exp(self, lo: int, hi: int) -> "ZStream":
-        """exp on the window [lo, hi] (lo <= 0 <= hi), as `ZLaurent.exp`."""
+        """exp on the window [lo, hi] (lo <= 0 <= hi); the exponential of
+        slice 0 must end on the window, so slice 0 has no z^0 term."""
         E = []                  # shared with the new block, as in `invert`
         _check_window(lo, hi)
 
@@ -1189,3 +1124,25 @@ class ZStream:
 def _check_window(lo, hi):
     if lo is None or hi is None or not lo <= 0 <= hi:
         raise RingUsageError(f"the window [{lo}, {hi}] must contain z^0")
+
+
+def _stream(zl: ZLaurent) -> ZStream:
+    """The block zl as a ZStream whose slices are all known: slice k lists
+    the z^e t^k coefficients of zl over their common denominator."""
+    T = zl.order
+    cols = [[] for _ in range(T + 1)]
+    for e, ts in zl.coeffs.items():
+        for k, c in enumerate(ts.coeffs):
+            if c:
+                cols[k].append((e, c))
+    slices = []
+    for col in cols:
+        r = _common([c for _, c in col])
+        if r is None:
+            bad = next(c for _, c in col if type(c) not in (int, Fraction))
+            raise RingUsageError(
+                f"Laurent block coefficients must be int or Fraction, not {type(bad).__name__}")
+        nums, D, _ = r
+        slices.append(_Slice([(e, n) for (e, _), n in zip(col, nums)], D))
+    val = next((k for k, sl in enumerate(slices) if sl.row), T + 1)
+    return ZStream(T, val=val, slices=slices)

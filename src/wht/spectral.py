@@ -12,7 +12,10 @@ projection equations; the rational-exponential extension adds a pair
   reads A and eta through k, so each slice of every block is computed once
   and fed back into B and theta for the next order.  A second `_system_rhs`
   call, over the ZLaurent values of the solved B and theta, must reproduce
-  them (stationarity check); its blocks are the ones returned.
+  them (stationarity check); its blocks are the ones returned.  ZLaurent's
+  products, inverses and exponentials run on the same slice kernels, so the
+  check catches a wrong slice fed back into B or theta, while an error that
+  the kernels make alike in both calls is left to their tests.
 * Z: Lagrange inversion of Z = xb * Phi(Z) at order T, with the powers of
   Phi on the z-window [0, T]; one evaluation of the right-hand side at Z
   must give Z back.

@@ -125,7 +125,8 @@ def instantiate_curve(sd: SpectralData, t_value: complex, tol: float = 1e-9,
     """Evaluate the solved blocks at a complex t and locate the branchpoints.
 
     Raises AssumptionViolation when the configuration breaks the simple-
-    ramification requirements (collisions, vanishing dY, points at zero).
+    ramification requirements (collisions, vanishing dY, points at zero, X
+    vanishing at a ramification point).
     """
     t = complex(t_value)
     if abs(t) > t_cap:
@@ -240,6 +241,10 @@ def _validate_branchpoints(curve: NumericCurve):
     for i, b in enumerate(bps):
         if abs(b) < 1e-10 * scale:
             raise AssumptionViolation("zero-root", f"ramification point at {b}")
+        # a multiple root of the numerator product: X(b) = 0, and Y = H/X
+        # has no Taylor series at b
+        if abs(horner(curve.Np, b)) <= 1e-10 * horner(np.abs(curve.Np), abs(b)):
+            raise AssumptionViolation("X-zero", f"X vanishes at {b}")
         xs, ys = curve.xy_series(b, 4)
         # dimensionless local ratios; the raw derivatives scale like powers
         # of 1/b and would make absolute thresholds meaningless

@@ -175,6 +175,24 @@ def test_degenerate_model_skips_tr_suite(tmp_path):
     assert by_name["critical-values"]["status"] == "PASS"
 
 
+def test_x_vanishing_at_a_ramification_point_exits_3(tmp_path, capsys):
+    # equal weights make the numerator product a square, whose double root
+    # is a ramification point where X = 0: the clause is named, no traceback
+    data = json.loads(json.dumps(BASE_CFG))
+    data["model"] = {"m": 2, "r": 0, "u": ["6/11", "6/11"], "p": ["6/13", "7/13"],
+                     "q": ["8/11"], "T": 6}
+    data["tasks"] = ["tr-vs-oracle"]
+    data["output"]["dir"] = str(tmp_path / "out")
+    path = write_cfg(tmp_path, data)
+    assert cli.main(["curve", "--config", path]) == 0
+    assert cli.main(["tr", "--config", path]) == cli.EXIT_ASSUMPTION
+    assert "X-zero" in capsys.readouterr().out
+    assert json.load(open(tmp_path / "out" / "omega.json"))["skip"]["clause"] == "X-zero"
+    assert cli.main(["verify", "--config", path]) == 0
+    check, = json.load(open(tmp_path / "out" / "verify.json"))["checks"]
+    assert check["status"] == "SKIP" and check["details"]["clause"] == "X-zero"
+
+
 def test_sensitivity_corrupted_weight_fails_disk():
     good = suite_disk()
     assert good.status == "PASS"

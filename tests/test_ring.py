@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,7 +447,9 @@ def test_zlaurent_exp_window():
 
 
 # --- blocks computed order by order ------------------------------------------
-# Reference: the same operation on ZLaurent, which runs over the whole block.
+# ZLaurent's products, powers, inverses and exponentials run on the ZStream
+# slice kernels.  Reference: term-by-term Fraction loops over {(e, k): c}
+# dicts, every product clipped to the z-window.
 
 def stream(zl):
     """zl as a ZStream built from constants: sum of c z^e t^k."""
@@ -457,6 +460,53 @@ def stream(zl):
             if not is_zero(c):
                 out = out + factory.const(zl.order, c).zshift(e).tshift(k)
     return out
+
+
+def block_terms(zl):
+    """A block as {(z-exponent, t-order): nonzero coefficient}."""
+    return {(e, k): c for e, ts in zl.coeffs.items() for k, c in enumerate(ts.coeffs) if c}
+
+
+def ref_block_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_block_mul(a, b, T, lo, hi):
+    out = {}
+    for (e1, k1), x in a.items():
+        for (e2, k2), y in b.items():
+            e, k = e1 + e2, k1 + k2
+            if k <= T and lo <= e <= hi:
+                out[e, k] = out.get((e, k), 0) + F(x) * y
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_block_series(step, T, lo, hi, factor):
+    """sum_m factor(m) step^m on [lo, hi]; each factor of step lowers the
+    z-exponent or raises the t-order, so the sum ends within T + hi - lo + 2
+    terms."""
+    out = term = {(0, 0): F(1)}
+    for m in range(1, T + hi - lo + 3):
+        term = ref_block_mul(term, step, T, lo, hi)
+        if not term:
+            return out
+        out = ref_block_add(out, {key: c * factor(m) for key, c in term.items()})
+    raise AssertionError("the reference series did not end")
+
+
+def ref_block_invert(a, T, lo, hi):
+    """a_00^-1 sum_m (1 - a / a_00)^m, the geometric series on the window."""
+    c0 = F(a[0, 0])
+    step = {key: -c / c0 for key, c in a.items() if key != (0, 0)}
+    return {key: c / c0 for key, c in ref_block_series(step, T, lo, hi, lambda m: 1).items()}
+
+
+def ref_block_exp(a, T, lo, hi):
+    """sum_m a^m / m!, the Taylor series on the window (a_00 = 0)."""
+    return ref_block_series(a, T, lo, hi, lambda m: F(1, factorial(m)))
 
 
 @st.composite
@@ -479,17 +529,25 @@ stream_cases = st.tuples(st.integers(0, 4), st.sampled_from([-1, 1]),
 @settings(max_examples=60, deadline=None)
 @given(stream_cases.flatmap(lambda c: st.tuples(
     st.just(c[1]), one_signed(*c), one_signed(*c))))
-def test_stream_operations_equal_zlaurent(case):
+def test_block_operations_equal_term_by_term(case):
     sign, f, g = case
+    T = f.order
     lo, hi = (-3, 0) if sign < 0 else (0, 3)
-    sf, sg = stream(f), stream(g)
-    assert sf.value() == f
-    assert sf.mul(sg, lo, hi).value() == f.mul(g, lo, hi)
-    assert sf.invert(lo, hi).value() == f.invert(lo, hi)
-    assert sf.power(3, lo, hi).value() == f.power(3, lo, hi)
+    a, b = block_terms(f), block_terms(g)
     # exp needs a zero z^0 t^0 coefficient
-    h = f - ZLaurent.const(f.order, f.get(0).coeffs[0])
-    assert stream(h).exp(lo, hi).value() == h.exp(lo, hi)
+    h = f - ZLaurent.const(T, f.get(0).coeffs[0])
+    sf, sg, sh = stream(f), stream(g), stream(h)
+    assert block_terms(sf.value()) == a
+    cube = ref_block_mul(ref_block_mul(a, a, T, lo, hi), a, T, lo, hi)
+    # each operation on a stream, and through its ZLaurent entry point
+    for blks, ref in [
+            ((sf.mul(sg, lo, hi).value(), f.mul(g, lo, hi)), ref_block_mul(a, b, T, lo, hi)),
+            ((sf.power(3, lo, hi).value(), f.power(3, lo, hi)), cube),
+            ((sf.invert(lo, hi).value(), f.invert(lo, hi)), ref_block_invert(a, T, lo, hi)),
+            ((sh.exp(lo, hi).value(), h.exp(lo, hi)), ref_block_exp(block_terms(h), T, lo, hi))]:
+        for blk in blks:
+            assert block_terms(blk) == ref
+            assert all(type(c) in (int, F) for ts in blk.coeffs.values() for c in ts.coeffs)
     assert (sf + sg.scale(F(2, 3))).tshift(1).value() == (f + g.scale(F(2, 3))).tshift(1)
 
 

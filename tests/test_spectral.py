@@ -218,13 +218,24 @@ def test_solve_leaves_no_reference_cycles():
 
 
 def test_solve_raises_when_not_stationary(monkeypatch):
-    # a lazy route that computes wrong slices is caught by the ZLaurent check
+    # the solve and its check run on the same slice kernels, so a kernel error
+    # that both apply alike is a fixed point; the check is there to catch a
+    # wrong slice fed back into B or theta, here a z^-1 term added to slice 2
+    # of theta
     import wht.ring as ring
-    products = ring._products
-    monkeypatch.setattr(ring, "_products", lambda pairs, lo, hi, den=1:
-                        products(pairs, lo, hi, den + 1 if den > 1 else den))
+    unknowns = []
+    unknown, feed = ring.ZStream.unknown, ring.ZStream.feed
+    monkeypatch.setattr(ring.ZStream, "unknown", staticmethod(
+        lambda order: unknowns.append(unknown(order)) or unknowns[-1]))
+
+    def perturbed(blk, sl):
+        if blk is unknowns[-1] and len(blk.slices) == 2:
+            sl = ring._add(sl, ring._Slice([(-1, 1)], 1))
+        feed(blk, sl)
+    monkeypatch.setattr(ring.ZStream, "feed", perturbed)
     with pytest.raises(RingDomainError, match="stationary"):
         solve_system(EXP_11)
+    assert len(unknowns) == 3           # B of both colors, then theta
 
 
 # --- Z and the curve ------------------------------------------------------------
