@@ -18,7 +18,7 @@ from .oracle import (
     HurwitzTable, build_table, character_value, enumerate_factorisations,
     monotone_runs, tau_from_table, tau_schur, wgn_oracle, wgn_via_characters,
 )
-from .ring import MPoly, TSeries, ZLaurent, divided_difference
+from .ring import MPoly, TSeries, ZLaurent
 from .slices import (
     TildeData, path_coefficient, tilde_transform, w01_bijective, w02_annular,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "HurwitzTable", "build_table", "character_value",
     "enumerate_factorisations", "monotone_runs", "tau_from_table",
     "tau_schur", "wgn_oracle", "wgn_via_characters",
-    "MPoly", "TSeries", "ZLaurent", "divided_difference",
+    "MPoly", "TSeries", "ZLaurent",
     "TildeData", "path_coefficient", "tilde_transform", "w01_bijective",
     "w02_annular",
     "BranchpointSet", "SpectralData", "assemble_curve", "compute_Z",

@@ -18,11 +18,11 @@ products, and builds one ``Fraction`` per output coefficient instead of one
 per term product:
 
 * ``TSeries.__mul__`` on rational coefficients convolves two numerator lists;
-* ``TSeries.__mul__`` on MPoly coefficients, and ``invert`` and ``log`` on
-  any, hold each coefficient as (monomial code, numerator) pairs over one
-  denominator per operand (``_Terms``) and accumulate ``{monomial: int}``
-  per output order; the growing rows of ``invert`` and ``log`` keep their
-  own reduced denominators;
+* ``TSeries.__mul__`` on MPoly coefficients, and ``invert`` on any, hold
+  each coefficient as (monomial code, numerator) pairs over one denominator
+  per operand (``_Terms``) and accumulate ``{monomial: int}`` per output
+  order; the growing rows of ``invert`` keep their own reduced
+  denominators;
 * ``MPoly.__mul__`` accumulates ``{monomial: int}`` for one pair;
 * ``ZStream`` computes a Laurent block one t^k slice at a time: a slice is
   one row of (z-exponent, numerator) pairs over one reduced denominator,
@@ -31,7 +31,7 @@ per term product:
   exponentials run on these kernels too.
 
 An output coefficient is an ``int`` when no operand holds a ``Fraction``,
-and a scalar zero is the int 0; ``invert`` and ``log`` return Fractions.  A
+and a scalar zero is the int 0; ``invert`` returns Fractions.  A
 block coefficient is an ``int`` when its whole t^k slice is integral.  As
 in a term-by-term sum, a series coefficient is an MPoly when an MPoly entered
 it: a cancelled product coefficient is ``MPoly()``, a cancelled coefficient
@@ -308,33 +308,6 @@ class MPoly:
         return " + ".join(bits)
 
 
-def mpoly_divided_difference(p: MPoly, name: str, name1: str, name2: str) -> MPoly:
-    """(p(name1) - p(name2)) / (name1 - name2), computed monomial by monomial.
-
-    Requires nonnegative exponents of `name`; other variables ride along.
-    """
-    out = MPoly()
-    for m, c in p.terms.items():
-        e0 = 0
-        rest = []
-        for n, e in m:
-            if n == name:
-                e0 = e
-            else:
-                rest.append((n, e))
-        if e0 < 0:
-            raise RingDomainError("divided difference needs nonnegative exponents")
-        for a in range(e0):
-            d = dict(rest)
-            if a:
-                d[name1] = a
-            b = e0 - 1 - a
-            if b:
-                d[name2] = b
-            out = out + MPoly({tuple(sorted(d.items())): c})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # integer form of series coefficients
 
@@ -595,33 +568,6 @@ class TSeries:
             acc = acc + power.scale(Fraction(1, factorial(k)))
         return acc
 
-    def log(self) -> "TSeries":
-        """log of a series with constant term 1.  The coefficients
-        M_k = k L_k of t dL/dt solve t da/dt = a * (t dL/dt) order by order:
-        M_k = k a_k - sum_{0<j<k} M_j a_(k-j)."""
-        if self.coeffs[0] != 1:
-            raise RingDomainError("log needs constant term 1")
-        T = self.order
-        K = _Terms(self.coeffs)
-        xa, Da, _, pa = K.rows(self.coeffs)
-        out = [0]
-        rows, dens, polys = [[]], [1], [False]     # M_k over its own denominator
-        # M_k = (k L alpha_k - sum_j mu_j (L / d_j) alpha_(k-j)) / (D L), where
-        # a_j = alpha_j / D, M_j = mu_j / d_j and L = lcm of the d_j
-        for k in range(1, T + 1):
-            js = [j for j in range(1, k) if rows[j] and xa[k - j]]
-            L = lcm(*(dens[j] for j in js))
-            acc = {p: k * L * n for p, n in xa[k]}
-            acc = _dot([(_scaled(rows[j], -(L // dens[j])), xa[k - j])
-                         for j in js], acc)
-            poly = pa[k] or any(polys[j] or pa[k - j] for j in js)
-            out.append(K.coeff(acc.items(), Da * L * k, True, poly))
-            row, d = _reduce(acc, Da * L)
-            rows.append(row)
-            dens.append(d)
-            polys.append(poly)
-        return TSeries(T, out)
-
     def tshift(self, s: int) -> "TSeries":
         """Multiply by t^s (coefficients beyond T are dropped)."""
         if s < 0:
@@ -641,16 +587,6 @@ class TSeries:
 
     def __repr__(self):
         return "TSeries[" + ", ".join(repr(c) for c in self.coeffs) + "]"
-
-
-def divided_difference(Z: TSeries, var: str = "xb", var1: str = "xb1",
-                       var2: str = "xb2") -> TSeries:
-    """R with R*(x1-x2) == Z(x1)-Z(x2); requires Z = var*(unit) + higher orders."""
-    c0 = Z.coeffs[0]
-    if not (isinstance(c0, MPoly) and c0 == MPoly.var(var)):
-        raise RingDomainError("divided_difference needs Z = xbar + O(t)")
-    return Z.map_coeffs(lambda c: mpoly_divided_difference(
-        c if isinstance(c, MPoly) else MPoly.const(c), var, var1, var2))
 
 
 def interpolate(f, name: str, nodes):

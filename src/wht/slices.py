@@ -265,24 +265,25 @@ def w02_annular(td: TildeData, orders=None) -> TSeries:
     powers = _a_product_powers(td, max(f1m, f2m), emax)
     total = TSeries.zero(T)
     for p in range(1, pm + 1):
-        s1 = TSeries.zero(T)
-        for f1 in range(p, f1m + 1):
-            c = powers[f1].get(f1 - p)
-            if c.is_zero():
-                continue
-            s1 = s1 + c * TSeries.const(T, MPoly.var("xb1", f1 + 1))
+        s1 = _marked(powers, range(p, f1m + 1), -p, "xb1", T)
         if s1.is_zero():
             continue
-        s2 = TSeries.zero(T)
-        for f2 in range(0, f2m + 1):
-            c = powers[f2].get(f2 + p)
-            if c.is_zero():
-                continue
-            s2 = s2 + c * TSeries.const(T, MPoly.var("xb2", f2 + 1))
+        s2 = _marked(powers, range(0, f2m + 1), p, "xb2", T)
         if s2.is_zero():
             continue
         total = total + (s1 * s2).scale(p)
     return total
+
+
+def _marked(powers, fs, shift: int, name: str, T: int) -> TSeries:
+    """sum over f in fs of [z^(f + shift)] powers[f] * name^(f + 1), each
+    coefficient given its monomial directly."""
+    terms = [{} for _ in range(T + 1)]
+    for f in fs:
+        for k, c in enumerate(powers[f].get(f + shift).coeffs):
+            if c:
+                terms[k][((name, f + 1),)] = c
+    return TSeries(T, [MPoly(t) if t else 0 for t in terms])
 
 
 def last_passage_check(td: TildeData, p_max: int, f_max: int):

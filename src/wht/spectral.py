@@ -17,19 +17,23 @@ projection equations; the rational-exponential extension adds a pair
   check catches a wrong slice fed back into B or theta, while an error that
   the kernels make alike in both calls is left to their tests.
 * Z: Lagrange inversion of Z = xb * Phi(Z) at order T, with the powers of
-  Phi on the z-window [0, T]; one evaluation of the right-hand side at Z
-  must give Z back.
+  Phi on the z-window [0, T] taken as one chain of ZStream products, whose
+  slices are kept; one evaluation of the right-hand side at Z must give Z
+  back.
 * the disk: the curve value at Z, whose nonpositive xb-powers must cancel.
-* the cylinder: xb1^2 xb2^2 d1 d2 log R of the divided difference R of Z,
-  with no division.  Its independent checks are the annular path route and
-  the enumeration and character oracles.
+* the cylinder: a bilinear sum over the same chain,
+  [xb1^(A+1) xb2^(B+1)] = sum_(k=1..B) k [z^(A+k)] Phi^A [z^(B-k)] Phi^B,
+  which is xb1^2 xb2^2 d1 d2 log((Z(xb1) - Z(xb2)) / (xb1 - xb2)).  Its
+  independent checks are the annular path route and the enumeration and
+  character oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .dense import horner, s_inv, s_mul
 from .model import AssumptionViolation, ModelParams
 from .ring import (
     MPoly, TSeries, ZLaurent, ZStream, RingDomainError, RingUsageError,
-    divided_difference, interpolate, is_zero, scalar_invert,
+    interpolate, is_zero, scalar_invert, _stream,
 )
 
 __all__ = [
@@ -66,6 +70,8 @@ class SpectralData:
     theta: ZLaurent | None
     _Z: TSeries | None = None
     _H: ZLaurent | None = None
+    # n -> the t^0..t^T slices of Phi^n, n = 1..T+1 (`compute_Z`)
+    _phi_powers: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def T(self) -> int:
@@ -189,8 +195,10 @@ def compute_Z(sd: SpectralData) -> TSeries:
     """The substitution series Z = xb * Phi(Z), with Z = xb + O(t), by
     Lagrange inversion: [xb^n] Z = (1/n) [z^(n-1)] Phi(z)^n, where
     Phi = prod A^(side * mult) * exp(u_exp * eta) is a Laurent block on the
-    window [0, T] (its z^k coefficient is O(t^k)), so n runs to T + 1.  One
-    evaluation of the right-hand side at Z must reproduce Z, or this raises."""
+    window [0, T] (its z^k coefficient is O(t^k)), so n runs to T + 1.  The
+    powers are one chain of ZStream products Phi^n = Phi^(n-1) Phi, whose
+    slices stay on `sd` for `w02`.  One evaluation of the right-hand side at
+    Z must reproduce Z, or this raises."""
     if sd._Z is not None:
         return sd._Z
     T = sd.T
@@ -200,19 +208,23 @@ def compute_Z(sd: SpectralData) -> TSeries:
         phi = phi.mul(f.power(c.mult, 0, T), 0, T)
     if sd.params.has_exp:
         phi = phi.mul(sd.eta.scale(sd.params.u_exp).exp(0, T), 0, T)
+    phi = _stream(phi)
     terms = [{} for _ in range(T + 1)]       # [t^j] Z as {xb^n: coefficient}
-    phi_n = phi
+    powers, phi_n = {}, phi
     for n in range(1, T + 2):
         if n > 1:
             phi_n = phi_n.mul(phi, 0, T)
-        for j, c in enumerate(phi_n.get(n - 1).coeffs):
-            if c:
-                terms[j][(("xb", n),)] = Fraction(c, n)
+        phi_n.slice(T)
+        powers[n] = phi_n.slices
+        for j, sl in enumerate(phi_n.slices):
+            for e, num in sl.row:
+                if e == n - 1:
+                    terms[j][(("xb", n),)] = Fraction(num, sl.den * n)
     Z = TSeries(T, [MPoly(t) for t in terms])
     xb = TSeries.const(T, MPoly.var("xb"))
     if not (Z - _z_rhs(sd, Z, xb)).is_zero():
         raise RingDomainError("Z is not a fixed point of its defining equation")
-    sd._Z = Z
+    sd._Z, sd._phi_powers = Z, powers
     return Z
 
 
@@ -329,18 +341,42 @@ def _h_at_Z(H: ZLaurent, Z: TSeries) -> TSeries:
 
 
 def w02(sd: SpectralData) -> TSeries:
-    """Cylinder series in (xb1, xb2): xb1^2 xb2^2 d1 d2 log R, where
-    R = (Z(xb1) - Z(xb2)) / (xb1 - xb2) = 1 + O(t) has polynomial
-    coefficients, and so has log R.  This equals
-    xb1^2 xb2^2 (Z'(xb1) Z'(xb2) / (Z(xb1) - Z(xb2))^2 - 1 / (xb1 - xb2)^2)
-    with no division by xb1 - xb2."""
-    logR = divided_difference(compute_Z(sd)).log()
-    pref = MPoly.var("xb1", 2) * MPoly.var("xb2", 2)
-    out = []
-    for c in logR.coeffs:
-        c = c if isinstance(c, MPoly) else MPoly.const(c)
-        out.append(c.diff("xb1").diff("xb2") * pref)
-    return TSeries(sd.T, out)
+    """Cylinder series in (xb1, xb2) from the powers of Phi that `compute_Z`
+    keeps: for A, B >= 1,
+    [xb1^(A+1) xb2^(B+1)] w02 = sum_(k=1..B) k [z^(A+k)] Phi^A [z^(B-k)] Phi^B,
+    which is O(t^(A+B)).  This is xb1^2 xb2^2 d1 d2 log R with
+    R = (Z(xb1) - Z(xb2)) / (xb1 - xb2).  The sum is symmetric in A and B, so
+    only A <= B is summed; each t^s coefficient of a pair is one integer sum
+    over the slice pairs of Phi^A and Phi^B with z-exponents e1 + e2 = A + B,
+    e1 > A, weighted by e1 - A."""
+    compute_Z(sd)
+    T, P = sd.T, sd._phi_powers
+    at = {n: [dict(sl.row) for sl in P[n]] for n in range(1, T)}
+    out = [{} for _ in range(T + 1)]
+    for A in range(1, T // 2 + 1):
+        for B in range(A, T - A + 1):
+            for s in range(A + B, T + 1):
+                sums = []
+                # slice j of Phi^A holds z-exponents up to j, and e1 > A
+                for j in range(A + 1, s + 1):
+                    x, y = P[A][j], at[B][s - j]
+                    if not y:
+                        continue
+                    acc = 0
+                    for e1, n in x.row:
+                        m = y.get(A + B - e1) if e1 > A else None
+                        if m:
+                            acc += (e1 - A) * n * m
+                    if acc:
+                        sums.append((acc, x.den * P[B][s - j].den))
+                if not sums:
+                    continue
+                L = lcm(*(d for _, d in sums))
+                c = Fraction(sum(acc * (L // d) for acc, d in sums), L)
+                if c:
+                    out[s][(("xb1", A + 1), ("xb2", B + 1))] = c
+                    out[s][(("xb1", B + 1), ("xb2", A + 1))] = c
+    return TSeries(T, [MPoly(t) for t in out])
 
 
 # ---------------------------------------------------------------------------

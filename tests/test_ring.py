@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wht.ring import (
     MPoly, TSeries, ZLaurent, ZStream, RingDomainError, RingUsageError,
-    divided_difference, interpolate, is_zero, scalar_invert, _common, _mono_mul,
+    interpolate, is_zero, scalar_invert, _common, _mono_mul,
 )
 
 
@@ -248,17 +248,6 @@ def ref_invert(a):
     return out
 
 
-def ref_log(a):
-    M = [0] * (a.order + 1)
-    for k in range(1, a.order + 1):
-        s = a.coeffs[k] * k
-        for j in range(1, k):
-            if not (is_zero(M[j]) or is_zero(a.coeffs[k - j])):
-                s = s - M[j] * a.coeffs[k - j]
-        M[k] = s
-    return [0] + [M[k] * F(1, k) for k in range(1, a.order + 1)]
-
-
 def ref_zl_mul(a, b, lo, hi):
     out = {}
     for e1, x in a.coeffs.items():
@@ -317,7 +306,6 @@ shapes = st.tuples(st.integers(0, 5), st.sampled_from([["x"], ["x", "y"]]))
 
 
 units = st.one_of(nonzero, nonzero.map(MPoly.const))
-ones = st.sampled_from([1, MPoly.const(1)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,14 +323,6 @@ def test_poly_series_product_equals_term_by_term(ab):
 def test_poly_series_invert_equals_term_by_term(a):
     out = a.invert().coeffs
     check_coeffs(out, ref_invert(a))
-    assert all(type(v) is F for v in scalars(out) if v != 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(shapes.flatmap(lambda s: poly_series(*s, head=ones)))
-def test_poly_series_log_equals_term_by_term(a):
-    out = a.log().coeffs
-    check_coeffs(out, ref_log(a))
     assert all(type(v) is F for v in scalars(out) if v != 0)
 
 
@@ -581,45 +561,6 @@ def test_tshift_past_the_order_is_zero():
     assert ZLaurent.const(1, 5).tshift(3).is_zero()
 
 
-# --- divided difference ------------------------------------------------------
-
-def mk_z(coeff_polys):
-    return TSeries(len(coeff_polys) - 1, coeff_polys)
-
-
-def test_divided_difference_trivial():
-    Z = mk_z([xb, MPoly()])
-    assert divided_difference(Z) == TSeries(1, [MPoly.const(1), MPoly()])
-
-
-def test_divided_difference_square():
-    Z = mk_z([xb, MPoly.var("xb", 2)])
-    out = divided_difference(Z)
-    assert out.coeffs[1] == MPoly.var("xb1") + MPoly.var("xb2")
-
-
-def test_divided_difference_cube():
-    Z = mk_z([xb, MPoly.var("xb", 3)])
-    out = divided_difference(Z)
-    expect = (MPoly.var("xb1", 2) + MPoly.var("xb1") * MPoly.var("xb2")
-              + MPoly.var("xb2", 2))
-    assert out.coeffs[1] == expect
-
-
-def test_divided_difference_reconstructs():
-    Z = mk_z([xb, 3 * MPoly.var("xb", 2) + MPoly.var("xb", 4), MPoly.var("xb", 3)])
-    R = divided_difference(Z)
-    z1 = Z.map_coeffs(lambda c: c.rename({"xb": "xb1"}))
-    z2 = Z.map_coeffs(lambda c: c.rename({"xb": "xb2"}))
-    lin = MPoly.var("xb1") - MPoly.var("xb2")
-    assert R.map_coeffs(lambda c: c * lin) == z1 - z2
-
-
-def test_divided_difference_requires_shape():
-    with pytest.raises(RingDomainError):
-        divided_difference(mk_z([MPoly.const(1), MPoly()]))
-
-
 # --- interpolation in a parameter --------------------------------------------
 
 def lopsided(c, T=3):
@@ -661,10 +602,3 @@ def test_tseries_exp():
     e = TSeries(3, [0, 1, 0, 0]).exp()
     assert e == ts(1, 1, F(1, 2), F(1, 6))
 
-
-def test_tseries_log():
-    assert ts(1, 1, 0, 0).log() == ts(0, 1, F(-1, 2), F(1, 3))
-    f = TSeries(4, [0, MPoly.var("x"), F(2, 3), MPoly.var("x", 2, 5), F(-1, 7)])
-    assert f.exp().log() == f
-    with pytest.raises(RingDomainError):
-        ts(2, 1, 0).log()

@@ -15,7 +15,7 @@ import pytest
 from wht.model import AssumptionViolation, EllBounds, ModelParams
 from wht.oracle import build_table, wgn_oracle
 from wht.ring import (
-    MPoly, RingDomainError, TSeries, ZLaurent, ZStream, divided_difference, interpolate,
+    MPoly, RingDomainError, TSeries, ZLaurent, ZStream, interpolate,
 )
 from wht.spectral import (
     _critical_point, assemble_curve, compute_Z, critical_t, formal_branchpoints,
@@ -343,6 +343,61 @@ def test_disk_t0_vanishes_and_no_nonnegative_powers():
     assert w.coeffs[0].is_zero()
     for c in w.coeffs:
         assert all(dict(m).get("xb", 0) >= 2 for m in c.terms)
+
+
+def divided_difference(Z):
+    """Reference: R with R (xb1 - xb2) = Z(xb1) - Z(xb2) for Z a series of
+    polynomials in xb, from (xb1^e - xb2^e) / (xb1 - xb2) =
+    sum_(a+b=e-1) xb1^a xb2^b term by term."""
+    def dd(c):
+        out = MPoly()
+        for m, v in c.terms.items():
+            e = dict(m)["xb"]
+            for a in range(e):
+                out = out + MPoly.var("xb1", a) * MPoly.var("xb2", e - 1 - a, v)
+        return out
+    return Z.map_coeffs(dd)
+
+
+def series_log(a):
+    """Reference: log a for a = 1 + O(t), term by term from t a' = a (t L'):
+    k L_k = k a_k - sum_(0<j<k) j L_j a_(k-j)."""
+    assert a.coeffs[0] == 1
+    M = [0] * (a.order + 1)             # M_k = k L_k
+    for k in range(1, a.order + 1):
+        M[k] = a.coeffs[k] * k
+        for j in range(1, k):
+            M[k] = M[k] - M[j] * a.coeffs[k - j]
+    return TSeries(a.order, [0] + [M[k] * F(1, k) for k in range(1, a.order + 1)])
+
+
+def cylinder_by_log(sd):
+    """Reference: xb1^2 xb2^2 d1 d2 log R with R the divided difference of Z."""
+    pref = MPoly.var("xb1", 2) * MPoly.var("xb2", 2)
+    logR = series_log(divided_difference(compute_Z(sd)))
+    return logR.map_coeffs(lambda c: (c if isinstance(c, MPoly) else MPoly.const(c))
+                           .diff("xb1").diff("xb2") * pref)
+
+
+def test_reference_divided_difference_and_log():
+    Z = TSeries(2, [MPoly.var("xb"), 3 * MPoly.var("xb", 2) + MPoly.var("xb", 4),
+                    MPoly.var("xb", 3)])
+    lin = MPoly.var("xb1") - MPoly.var("xb2")
+    assert (divided_difference(Z).scale(lin)
+            == rename_series(Z, {"xb": "xb1"}) - rename_series(Z, {"xb": "xb2"}))
+    f = TSeries(4, [0, MPoly.var("x"), F(2, 3), MPoly.var("x", 2, 5), F(-1, 7)])
+    assert series_log(f.exp()) == f
+    assert series_log(TSeries(3, [1, 1, 0, 0])) == TSeries(3, [0, 1, F(-1, 2), F(1, 3)])
+
+
+@pytest.mark.parametrize("params", [
+    *(_concordance_params(m, r, T) for T in (6, 12) for (m, r) in CONCORDANCE_MODELS),
+    EXP_11,
+], ids=[f"{m}{r}-T{T}" for T in (6, 12) for (m, r) in CONCORDANCE_MODELS] + ["exp11"])
+def test_cylinder_from_the_powers_of_phi_is_the_log_route(params):
+    sd = solve_system(params)
+    w, ref = w02(sd), cylinder_by_log(sd)
+    assert w == ref and repr(w) == repr(ref)
 
 
 @pytest.mark.parametrize("params", [
