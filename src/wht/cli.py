@@ -69,10 +69,16 @@ def cmd_curve(cfg: RunConfig, out: str) -> int:
     compute_Z(sd)
     bp = None
     bp_error = None
-    try:
-        bp = formal_branchpoints(sd, depth=min(5, cfg.model.T))
-    except AssumptionViolation as e:
-        bp_error = {"clause": e.clause, "detail": str(e)}
+    T, D2 = cfg.model.T, cfg.model.D2
+    if T < D2:
+        bp_error = {"clause": "truncation",
+                    "detail": f"T = {T} < D2 = {D2}: the solved blocks lack "
+                              "their top coefficient [z^D2] A_c"}
+    else:
+        try:
+            bp = formal_branchpoints(sd, depth=min(5, T - D2 + 1))
+        except AssumptionViolation as e:
+            bp_error = {"clause": e.clause, "detail": str(e)}
     payload = spectral_export(sd, bp)
     if bp_error:
         payload["curve"]["branchpoints_error"] = bp_error

@@ -26,6 +26,12 @@ projection equations; the rational-exponential extension adds a pair
   which is xb1^2 xb2^2 d1 d2 log((Z(xb1) - Z(xb2)) / (xb1 - xb2)).  Its
   independent checks are the annular path route and the enumeration and
   character oracles.
+* the ramification points: the zeros of R = (zN')D - N(zD') - ND +
+  u_exp (z eta') N D, the numerator of zX'/X, built by `_ramification` on
+  exact blocks.  `initial_ramification` takes its zeros on the t^0 blocks in
+  w = t z; `formal_branchpoints` runs Newton in w on R over the solved blocks
+  lifted to t-order depth + deg R, through t^(T - D2 + 1) at most.  The float
+  route of `toprec` at a fixed t is their independent check.
 """
 
 from __future__ import annotations
@@ -387,39 +393,43 @@ def w02(sd: SpectralData) -> TSeries:
 _GAP_TOL = 1e-8
 
 
+def _euler(P: ZLaurent) -> ZLaurent:
+    """z P'(z): the z^e coefficient scaled by e."""
+    return ZLaurent(P.order, {e: ts.scale(e) for e, ts in P.coeffs.items()})
+
+
+def _ramification(colors, A, eta, u_exp) -> ZLaurent:
+    """R = (zN')D - N(zD') - ND + u_exp (z eta') N D, the numerator of zX'/X
+    for X = (N/D) exp(u_exp eta) / z, with N and D the products of the
+    numerator and denominator blocks A_c^mult.  Its zeros are the
+    ramification points.  Every product is taken at the blocks' t-order."""
+    N = D = ZLaurent.const(next(iter(A.values())).order, 1)
+    for c in colors:
+        f = A[c.label].power(c.mult) if c.mult != 1 else A[c.label]
+        if c.side > 0:
+            N = N.mul(f)
+        else:
+            D = D.mul(f)
+    ND = N.mul(D)
+    R = _euler(N).mul(D) - N.mul(_euler(D)) - ND
+    if u_exp is not None:
+        R = R + _euler(eta).mul(ND).scale(u_exp)
+    return R
+
+
 def initial_ramification(params: ModelParams):
-    """Complex zeros of the leading-order ramification equation, found from the
-    cleared-denominator polynomial via companion-matrix roots plus one Newton
-    polish.  Degenerate configurations raise AssumptionViolation naming the
-    failed clause."""
-    units = [(c.u, c.side) for c in _colors_from_params(params) if not is_zero(c.u)]
-    expected = (len(units) + (1 if params.has_exp else 0)) * params.D2
-
-    def poly(cs):
-        # a polynomial in z as a series truncated at the expected degree,
-        # which bounds the degree of every product below, so they are exact
-        return TSeries(expected, (cs + [0] * expected)[:expected + 1])
-
-    Q = poly([0, *params.q])
-    dQ = poly([k * qk for k, qk in enumerate(params.q, 1)])
-    factors = [(Q + scalar_invert(u), side) for u, side in units]
-
-    one = TSeries.const(expected, 1)
-    prod_all = one
-    for f, _ in factors:
-        prod_all = prod_all * f
-    bracket = TSeries.zero(expected)
-    for k, (_, side) in enumerate(factors):
-        partial = one
-        for k2, (f2, _) in enumerate(factors):
-            if k2 != k:
-                partial = partial * f2
-        bracket = bracket + partial.scale(side)
-    if params.has_exp:
-        bracket = bracket + prod_all.scale(params.u_exp)
-    P = list((TSeries.t_power(expected, 1) * dQ * bracket - prod_all).coeffs)
-    while P and is_zero(P[-1]):
-        P.pop()
+    """Complex zeros of the leading-order ramification polynomial: R on the
+    t^0 blocks in w = t z, A_c = 1 + u_c Q(w) and eta = Q(w), found via
+    companion-matrix roots plus one Newton polish.  R is of degree one in
+    each block, so it is taken on A_c / u_c = Q + 1/u_c as R / prod u_c.
+    Degenerate configurations raise AssumptionViolation naming the failed
+    clause."""
+    colors = [c for c in _colors_from_params(params) if not is_zero(c.u)]
+    expected = (len(colors) + (1 if params.has_exp else 0)) * params.D2
+    Q = ZLaurent(0, {k: TSeries.const(0, qk) for k, qk in enumerate(params.q, 1)})
+    R = _ramification(colors, {c.label: Q + scalar_invert(c.u) for c in colors},
+                      Q, params.u_exp)
+    P = [R.get(k).coeffs[0] for k in range(R.window()[1] + 1)]
     if len(P) - 1 != expected:
         raise AssumptionViolation(
             "root-count",
@@ -471,39 +481,34 @@ class BranchpointSet:
 def formal_branchpoints(sd: SpectralData, depth: int) -> BranchpointSet:
     """Newton iteration for the ramification points as Laurent series in t.
 
-    Working in the rescaled coordinate w = t z the curve blocks become
-    polynomials in w with power-series coefficients, the seeds are the initial
-    ramification points, and each Newton step doubles the exact order.
+    In the rescaled coordinate w = t z the ramification polynomial R becomes
+    a polynomial in w with power-series coefficients, the seeds are the
+    initial ramification points, and each Newton step doubles the exact
+    order.  [w^k] R is t^(-k) [z^k] R, so R is built on the blocks lifted to
+    t-order depth + deg R: a product cut at t^T would lose [t^j] of
+    [w^k] R for every j > T - k.
+
+    The solved blocks fix the points through t^(T - D2 + 1) only: the top
+    coefficients [z^D2] A_c = u_c q_D2 t^D2 and [z^D2] eta = q_D2 t^D2 are
+    exact once T >= D2, and a coefficient [z^k] known through t^T gives
+    [w^k] through t^(T - k) >= t^(T - D2 + 1) for k < D2.  T < D2, which
+    drops the top coefficients, or a larger depth raises RingUsageError.
     """
     params = sd.params
-    if depth > sd.T:
-        raise RingUsageError("depth exceeds the solved truncation order")
+    if sd.T < params.D2 or depth > sd.T - params.D2 + 1:
+        raise RingUsageError(
+            f"formal branchpoints need T >= D2 and depth <= T - D2 + 1, the "
+            f"order through which the solved blocks fix them; got T = {sd.T}, "
+            f"D2 = {params.D2}, depth = {depth}")
     seeds = initial_ramification(params)
     L = depth + 1
-
-    Ahat = {}
-    for c in sd.colors:
-        Ahat[c.label] = _rescaled_poly(sd.A[c.label], L, params.D2)
-    eta_hat = _rescaled_poly(sd.eta, L, params.D2) if params.has_exp else None
-
-    # N(w) = numerator of d/dw log Xhat: sum over colors side * A'/A - 1/w (+ exp)
-    prod_all = [np.array([1.0 + 0j] + [0] * (L - 1))]
-    for c in sd.colors:
-        for _ in range(c.mult):
-            prod_all = _wpoly_mul(prod_all, Ahat[c.label])
-    N = _wpoly_scale(prod_all, -1.0)
-    for c in sd.colors:
-        partial = [np.array([1.0 + 0j] + [0] * (L - 1))]
-        for c2 in sd.colors:
-            e = c2.mult - (1 if c2.label == c.label else 0)
-            for _ in range(e):
-                partial = _wpoly_mul(partial, Ahat[c2.label])
-        term = _wpoly_mul(_wpoly_shift(_wpoly_diff(Ahat[c.label]), 1), partial)
-        N = _wpoly_add(N, _wpoly_scale(term, c.side * c.mult))
-    if params.has_exp:
-        term = _wpoly_mul(_wpoly_shift(_wpoly_diff(eta_hat), 1), prod_all)
-        N = _wpoly_add(N, _wpoly_scale(term, complex(params.u_exp)))
-    dN = _wpoly_diff(N)
+    deg = params.D2 * (sum(c.mult for c in sd.colors) + (1 if params.has_exp else 0))
+    order = depth + deg
+    R = _ramification(sd.colors, {lbl: _lifted(a, order) for lbl, a in sd.A.items()},
+                      _lifted(sd.eta, order) if params.has_exp else None,
+                      params.u_exp)
+    Rw = _rescaled_poly(R, L, deg)
+    dRw = [Rw[k] * k for k in range(1, len(Rw))]
 
     steps = max(3, depth.bit_length() + 2)
     formal = []
@@ -512,25 +517,31 @@ def formal_branchpoints(sd: SpectralData, depth: int) -> BranchpointSet:
         w = np.zeros(L, dtype=complex)
         w[0] = a
         for _ in range(steps):
-            r = _wpoly_eval(N, w)
-            dr = _wpoly_eval(dN, w)
+            r = _wpoly_eval(Rw, w)
+            dr = _wpoly_eval(dRw, w)
             if abs(dr[0]) < 1e-13:
                 raise AssumptionViolation(
                     "newton-stall", f"ramification Newton stalled at seed {a}")
             w = w - s_mul(r, s_inv(dr))
-        res = _wpoly_eval(N, w)
-        scale = max(1.0, float(np.max(np.abs(_wpoly_eval(dN, w)))))
+        res = _wpoly_eval(Rw, w)
+        scale = max(1.0, float(np.max(np.abs(_wpoly_eval(dRw, w)))))
         residual = max(residual, float(np.max(np.abs(res))) / scale)
         formal.append(list(w[1:]) if L > 1 else [])
     return BranchpointSet(initial=seeds, formal=formal, depth=depth,
                           residual=residual)
 
 
-def _rescaled_poly(zl: ZLaurent, L: int, D2: int):
-    """A(z) -> A(w/t) as a w-polynomial with complex t-series coefficients;
+def _lifted(zl: ZLaurent, order: int) -> ZLaurent:
+    """The block at t-order `order`: its series padded with zeros or cut."""
+    return ZLaurent(order, {e: TSeries(order, (ts.coeffs + (0,) * order)[:order + 1])
+                            for e, ts in zl.coeffs.items()})
+
+
+def _rescaled_poly(zl: ZLaurent, L: int, deg: int):
+    """P(z) -> P(w/t) as a w-polynomial with complex t-series coefficients;
     needs every z^k coefficient to have t-valuation >= k."""
     out = []
-    for k in range(D2 + 1):
+    for k in range(deg + 1):
         ts = zl.get(k)
         arr = np.zeros(L, dtype=complex)
         for j, c in enumerate(ts.coeffs):
@@ -543,45 +554,6 @@ def _rescaled_poly(zl: ZLaurent, L: int, D2: int):
                 arr[j - k] = complex(c)
         out.append(arr)
     return out
-
-
-# a w-polynomial is a list of dense t-series, one per power of w
-
-
-def _wpoly_mul(a, b):
-    L = len(a[0])
-    out = [np.zeros(L, dtype=complex) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += s_mul(x, y)
-    return out
-
-
-def _wpoly_add(a, b):
-    n = max(len(a), len(b))
-    L = len(a[0]) if a else len(b[0])
-    out = []
-    for i in range(n):
-        v = np.zeros(L, dtype=complex)
-        if i < len(a):
-            v = v + a[i]
-        if i < len(b):
-            v = v + b[i]
-        out.append(v)
-    return out
-
-
-def _wpoly_scale(a, c):
-    return [x * c for x in a]
-
-
-def _wpoly_diff(a):
-    return [a[i] * i for i in range(1, len(a))]
-
-
-def _wpoly_shift(a, k):
-    L = len(a[0])
-    return [np.zeros(L, dtype=complex)] * k + list(a)
 
 
 def _wpoly_eval(a, w):

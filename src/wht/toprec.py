@@ -103,18 +103,14 @@ class NumericCurve:
 
 
 def _branchpoint_poly(Np, Dp, eta, u_exp):
-    """Coefficients of the numerator of X'/X (polynomial whose roots are the
-    ramification points)."""
-    z = np.array([0, 1], dtype=complex)
-    Npd = np.polyder(np.poly1d(Np[::-1])).c[::-1] if len(Np) > 1 else np.array([0j])
-    Dpd = np.polyder(np.poly1d(Dp[::-1])).c[::-1] if len(Dp) > 1 else np.array([0j])
-    P = np.convolve(np.convolve(z, Npd), Dp)
-    P = poly_sub(P, np.convolve(Np, Dp))
-    P = poly_sub(P, np.convolve(np.convolve(z, Np), Dpd))
-    if eta is not None and len(eta) > 1:
-        ed = np.polyder(np.poly1d(eta[::-1])).c[::-1]
-        P = poly_sub(P, -u_exp * np.convolve(np.convolve(z, ed),
-                                             np.convolve(Np, Dp)))
+    """Coefficients of R = (zN')D - N(zD') - ND + u_exp (z eta') N D, the
+    numerator of zX'/X, whose roots are the ramification points; zP' is
+    the coefficient list scaled by its exponents."""
+    ND = np.convolve(Np, Dp)
+    P = poly_sub(np.convolve(np.arange(len(Np)) * Np, Dp), ND)
+    P = poly_sub(P, np.convolve(Np, np.arange(len(Dp)) * Dp))
+    if eta is not None:
+        P = poly_sub(P, -u_exp * np.convolve(np.arange(len(eta)) * eta, ND))
     while len(P) > 1 and abs(P[-1]) < 1e-300:
         P = P[:-1]
     return P

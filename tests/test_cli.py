@@ -147,6 +147,22 @@ def test_curve_outputs(tmp_path):
     assert (tmp_path / "out" / "xy_slice.csv").exists()
 
 
+@pytest.mark.parametrize("T, depth", [(1, None), (2, 1), (5, 4), (7, 5)])
+def test_curve_writes_the_formal_coefficients_the_blocks_fix(tmp_path, T, depth):
+    # D2 = 2: min(5, T - D2 + 1) coefficients per point, and none below T = D2
+    data = json.loads(json.dumps(BASE_CFG))
+    data["model"]["T"] = T
+    data["output"]["dir"] = str(tmp_path / "out")
+    assert cli.main(["curve", "--config", write_cfg(tmp_path, data)]) == 0
+    curve = json.load(open(tmp_path / "out" / "curve.json"))["curve"]
+    if depth is None:
+        assert curve["branchpoints_error"]["clause"] == "truncation"
+    else:
+        bp = curve["branchpoints"]
+        assert bp["depth"] == depth
+        assert all(len(row) == depth for row in bp["formal"])
+
+
 def test_verify_exit_zero_and_report(tmp_path, capsys):
     data = json.loads(json.dumps(BASE_CFG))
     data["output"]["dir"] = str(tmp_path / "out")

@@ -15,7 +15,7 @@ import pytest
 from wht.model import AssumptionViolation, EllBounds, ModelParams
 from wht.oracle import build_table, wgn_oracle
 from wht.ring import (
-    MPoly, RingDomainError, TSeries, ZLaurent, ZStream, interpolate,
+    MPoly, RingDomainError, RingUsageError, TSeries, ZLaurent, ZStream, interpolate,
 )
 from wht.spectral import (
     _critical_point, assemble_curve, compute_Z, critical_t, formal_branchpoints,
@@ -548,16 +548,22 @@ def test_formal_branchpoints_residual():
     assert bp.residual < 1e-10
 
 
-@pytest.mark.parametrize("m, r, u", [(1, 1, [F(1, 2), F(-1, 3)]), (1, 0, [F(1, 2)])])
+@pytest.mark.parametrize("m, r, u, u_exp", [
+    (1, 1, [F(1, 2), F(-1, 3)], None), (1, 0, [F(1, 2)], None),
+    (1, 0, [F(1, 2)], F(1, 5)), (2, 1, [F(1, 2), F(1, 3), F(-1, 3)], None)],
+    ids=["1-1-u0", "1-0-u1", "exp-1-0", "2-1"])
 @pytest.mark.parametrize("t", [1e-3, 1e-2])
-def test_formal_branchpoints_match_the_numeric_curve(m, r, u, t):
-    # (a_i + sum_k f_k t^k) / t against the roots instantiate_curve finds at t
+def test_formal_branchpoints_match_the_numeric_curve(m, r, u, u_exp, t):
+    # (a_i + sum_k f_k t^k) / t against the roots instantiate_curve finds at t.
+    # Both routes truncate after t^7, so the weights keep the coefficients
+    # small: with a weight 3 in place of 1/3 they grow about fivefold per
+    # order, and at t = 1e-2 both routes are off by about 1e-11
     params = ModelParams.make(m, r, u=u, p=[F(1, 3), F(2, 5)],
-                              q=[F(2, 7), F(1, 5)], T=6)
+                              q=[F(2, 7), F(1, 5)], T=7, u_exp=u_exp)
     sd = solve_system(params)
     bp = formal_branchpoints(sd, depth=6)
     numeric = instantiate_curve(sd, t).branchpoints
-    assert len(numeric) == len(bp.initial) == 2 * (m + r)
+    assert len(numeric) == len(bp.initial) == 2 * (m + r + (u_exp is not None))
     nearest = []
     for i in range(len(bp.initial)):
         b = bp.value_at(i, t)
@@ -565,6 +571,39 @@ def test_formal_branchpoints_match_the_numeric_curve(m, r, u, t):
         assert abs(numeric[j] - b) <= 1e-12 * abs(b)
         nearest.append(j)
     assert sorted(nearest) == list(range(len(numeric)))
+
+
+# the solved blocks fix the ramification points through t^(T - D2 + 1)
+EXACT_DEPTH_MODELS = {
+    "(1,1) D2=2": dict(m=1, r=1, u=[F(1, 2), F(-1, 3)], q=[F(2, 7), F(1, 5)]),
+    "(2,0) D2=3": dict(m=2, r=0, u=[F(1, 2), F(3)], q=[F(2, 7), F(1, 5), F(1, 9)]),
+    "(1,1) D2=4": dict(m=1, r=1, u=[F(1, 2), F(-1, 3)],
+                       q=[F(2, 7), F(1, 5), F(1, 9), F(1, 11)]),
+    "exp (1,0)": dict(m=1, r=0, u=[F(1, 2)], q=[F(2, 7), F(1, 5)], u_exp=F(1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_DEPTH_MODELS)
+def test_formal_branchpoints_are_exact_to_their_depth_bound(name):
+    # every coefficient the depth bound admits equals that of a solve 10
+    # orders deeper; one order more is refused
+    T = 6
+    kw = dict(EXACT_DEPTH_MODELS[name], p=[F(1, 3), F(2, 5)])
+    params = ModelParams.make(**kw, T=T)
+    bound = T - params.D2 + 1
+    bp = formal_branchpoints(solve_system(params), depth=bound)
+    deep = formal_branchpoints(solve_system(ModelParams.make(**kw, T=T + 10)),
+                               depth=bound)
+    assert bp.initial == deep.initial
+    for row, ref in zip(bp.formal, deep.formal):
+        assert len(row) == bound
+        for c, c_ref in zip(row, ref):
+            assert abs(c - c_ref) <= 1e-12 * abs(c_ref)
+    with pytest.raises(RingUsageError):
+        formal_branchpoints(solve_system(params), depth=bound + 1)
+    # below T = D2 the blocks lack their top coefficient: no depth is fixed
+    with pytest.raises(RingUsageError):
+        formal_branchpoints(solve_system(replace(params, T=params.D2 - 1)), depth=0)
 
 
 def test_formal_branchpoints_scaling_case():
