@@ -95,16 +95,18 @@ def s_compose(f, g):
 
 
 def s_revert(f):
-    """Compositional inverse of f = f1 w + ... with f1 != 0."""
+    """Compositional inverse g of f = f1 w + ... with f1 != 0, by Lagrange
+    inversion: [w^k] g = (1/k) [w^(k-1)] (w/f)^k, one series product per
+    coefficient."""
     L = len(f)
     if f[0] != 0 or f[1] == 0:
         raise RingUsageError("reversion needs f(0)=0, f'(0)!=0")
     g = np.zeros(L, dtype=complex)
-    g[1] = 1 / f[1]
-    for k in range(2, L):
-        # choose g_k so that [w^k] f(g(w)) vanishes
-        val = s_compose(f, g)[k]
-        g[k] = -val / f[1]
+    h = s_inv(f[1:])                  # w / f through w^(L-2)
+    pw = h
+    for k in range(1, L):
+        g[k] = pw[k - 1] / k
+        pw = s_mul(pw, h)
     return g
 
 

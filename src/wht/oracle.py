@@ -534,10 +534,12 @@ class HurwitzTable:
         self.has_exp = has_exp
         self.counts: dict = {}
         self.coverage: dict = {}   # d -> EllBounds used
+        self._by_genus = None
 
     def add(self, key, count: int):
         if count:
             self.counts[key] = self.counts.get(key, 0) + int(count)
+            self._by_genus = None
 
     def merge(self, other: "HurwitzTable"):
         for k, v in other.counts.items():
@@ -547,6 +549,16 @@ class HurwitzTable:
     def genus_numerator(self, key) -> int:
         lam, mu, ell, ell_exp, _ = key
         return sum(ell) + (ell_exp or 0) + 2 - len(lam) - len(mu)
+
+    def _genus_index(self) -> dict:
+        """{genus numerator 2g: [(key, count), ...]} of the connected keys in
+        key order, built on first use after the last add."""
+        if self._by_genus is None:
+            index = {}
+            for key, count in self.entries(connected=True):
+                index.setdefault(self.genus_numerator(key), []).append((key, count))
+            self._by_genus = index
+        return self._by_genus
 
     def genus(self, key) -> int:
         gg = self.genus_numerator(key)
@@ -1086,65 +1098,83 @@ def wgn_oracle(table: HurwitzTable, params: ModelParams, g: int, n: int,
 
     Rooting replaces n face-weight factors (with multiplicity) by marked
     boundary monomials i * xb_j^(i+1); surviving internal faces must respect
-    the degree caps.  Coefficients are polynomials in xb1..xbn.  The scalar
-    weights of the keys of one lambda are summed first, so the markings of
-    each lambda are built once.
+    the degree caps.  Coefficients are polynomials in xb1..xbn.
+
+    The keys come from the table's genus index, so a call reads its own
+    genus only.  A key's weight (-1)^(run lengths) count q_mu u^ell
+    v^ell_exp / (ell_exp! d!) is one integer numerator over the integer
+    denominator d! prod q_den prod u_den^ell v_den^ell_exp ell_exp!;
+    numerators are summed per (lambda, denominator), and each lambda gets
+    one Fraction.  Each ordered removal of n parts of lambda (`_removals`)
+    adds its share to the coefficient of its own monomial.
     """
     dcov = sorted(table.coverage)
     if d_max is None:
         d_max = dcov[-1] if dcov else 0
     if not dcov or d_max > dcov[-1]:
         raise RingUsageError("requested order beyond table coverage")
-    weights = {}
-    for key, count in table.entries(connected=True):
+    # weights are int or Fraction, and both have numerator and denominator
+    q, v = params.q, params.u_exp
+    nums = {}                   # lambda -> {denominator: numerator}
+    for key, count in table._genus_index().get(2 * g, ()):
         lam, mu, ell, ell_exp, _ = key
         d = sum(lam)
-        if d > d_max or table.genus_numerator(key) != 2 * g:
+        if d > d_max or max(mu) > len(q):
             continue
-        w = Fraction((-1) ** sum(ell[params.m:]) * count, factorial(d))
-        w = w * _weight(mu, params.q)
-        for c, e in enumerate(ell):
+        num, den = (-1) ** sum(ell[params.m:]) * count, factorial(d)
+        for part in mu:
+            num, den = num * q[part - 1].numerator, den * q[part - 1].denominator
+        for uc, e in zip(params.u, ell):
             if e:
-                w = w * params.u[c] ** e
+                num, den = num * uc.numerator ** e, den * uc.denominator ** e
         if ell_exp:
-            w = w * (params.u_exp ** ell_exp * Fraction(1, factorial(ell_exp)))
-        if w:
-            weights[lam] = weights.get(lam, 0) + w
-    coeffs = [MPoly() for _ in range(d_max + 1)]
-    for lam, w in weights.items():
-        if w:
-            d = sum(lam)
-            coeffs[d] = coeffs[d] + MPoly.const(w) * _apply_markings(lam, n, params)
-    return TSeries(d_max, coeffs)
+            num *= v.numerator ** ell_exp
+            den *= v.denominator ** ell_exp * factorial(ell_exp)
+        if num:
+            by_den = nums.setdefault(lam, {})
+            by_den[den] = by_den.get(den, 0) + num
+    coeffs = [{} for _ in range(d_max + 1)]
+    for lam, by_den in nums.items():
+        D = lcm(*by_den)
+        w = Fraction(sum(num * (D // den) for den, num in by_den.items()), D)
+        if not w:
+            continue
+        acc = coeffs[sum(lam)]
+        for mono, c, rest in _removals(lam, n):
+            for part, e in rest:
+                c = c * (params.p[part - 1] ** e if part <= params.D1 else 0)
+            if not c:
+                continue
+            # a monomial whose sum cancels leaves the dict and re-enters at
+            # the end, so term order is that of a term-by-term sum
+            s = acc.get(mono, 0) + w * c
+            if s:
+                acc[mono] = s
+            else:
+                acc.pop(mono, None)
+    return TSeries(d_max, [MPoly(acc) for acc in coeffs])
 
 
-def _apply_markings(lam, n, params: ModelParams) -> MPoly:
-    """Sum over ordered removals of n parts: product of i_j xb_j^(i_j+1),
-    with the untouched parts converted to internal-face weights."""
-    mult = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
+@cache
+def _removals(lam, n) -> tuple:
+    """The ordered removals of n parts of lam, depth first over the distinct
+    parts in increasing order: the monomial prod_j xb_j^(i_j+1) of the
+    removed parts i_1..i_n, the integer weight prod_j mult_j i_j (mult_j the
+    multiplicity of i_j before its removal), and the parts left, as
+    (part, multiplicity) pairs, that become internal-face weights."""
+    out = []
 
-    def rec(j, mult):
+    def rec(j, mult, mono, c):
         if j > n:
-            acc = MPoly.const(1)
-            for part, e in mult.items():
-                if e == 0:
-                    continue
-                if part > params.D1:
-                    return MPoly()
-                acc = acc * (params.p[part - 1] ** e)
-            return acc
-        total = MPoly()
+            out.append((tuple(sorted(mono)), c,
+                        tuple((part, e) for part, e in mult.items() if e)))
+            return
         for part in sorted(mult):
-            if mult[part] == 0:
-                continue
-            m2 = dict(mult)
-            m2[part] -= 1
-            sub = rec(j + 1, m2)
-            if sub.is_zero():
-                continue
-            total = total + MPoly.var(f"xb{j}", part + 1, mult[part] * part) * sub
-        return total
+            if mult[part]:
+                rest = dict(mult)
+                rest[part] -= 1
+                rec(j + 1, rest, mono + ((f"xb{j}", part + 1),),
+                    c * mult[part] * part)
 
-    return rec(1, mult)
+    rec(1, Counter(lam), (), 1)
+    return tuple(out)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from functools import reduce
 
@@ -11,7 +12,7 @@ from wht.oracle import (
     enumeration_total, hook_lengths, hurwitz_character_table, monotone_runs,
     partitions, tau_from_table, tau_schur, wgn_oracle,
 )
-from wht.ring import MPoly, RingUsageError, is_zero
+from wht.ring import MPoly, RingUsageError, TSeries, is_zero
 
 
 def small_params(m, r, d, u_exp=None):
@@ -268,6 +269,113 @@ def test_wgn_coverage_guard():
     tab = build_table(params, 2, EllBounds())
     with pytest.raises(RingUsageError):
         wgn_oracle(tab, params, 0, 1, d_max=5)
+
+
+# wgn_oracle term by term: one Fraction weight per key of the table, walked
+# in full, and the markings of each lambda as MPoly products.  The integer
+# assembly must give the same series, term order and scalar types included.
+
+def _reference_wgn_oracle(table, params, g, n, d_max=None):
+    dcov = sorted(table.coverage)
+    if d_max is None:
+        d_max = dcov[-1]
+    weights = {}
+    for key, count in table.entries(connected=True):
+        lam, mu, ell, ell_exp, _ = key
+        d = sum(lam)
+        if d > d_max or table.genus_numerator(key) != 2 * g:
+            continue
+        w = F((-1) ** sum(ell[params.m:]) * count, math.factorial(d))
+        for part in mu:
+            w = w * (params.q[part - 1] if part <= params.D2 else 0)
+        for c, e in enumerate(ell):
+            if e:
+                w = w * params.u[c] ** e
+        if ell_exp:
+            w = w * (params.u_exp ** ell_exp * F(1, math.factorial(ell_exp)))
+        if w:
+            weights[lam] = weights.get(lam, 0) + w
+    coeffs = [MPoly() for _ in range(d_max + 1)]
+    for lam, w in weights.items():
+        if w:
+            d = sum(lam)
+            coeffs[d] = coeffs[d] + MPoly.const(w) * _reference_markings(lam, n, params)
+    return coeffs
+
+
+def _reference_markings(lam, n, params):
+    """Sum over ordered removals of n parts: product of i_j xb_j^(i_j+1),
+    with the untouched parts converted to internal-face weights."""
+    mult = {}
+    for part in lam:
+        mult[part] = mult.get(part, 0) + 1
+
+    def rec(j, mult):
+        if j > n:
+            acc = MPoly.const(1)
+            for part, e in mult.items():
+                if e == 0:
+                    continue
+                if part > params.D1:
+                    return MPoly()
+                acc = acc * (params.p[part - 1] ** e)
+            return acc
+        total = MPoly()
+        for part in sorted(mult):
+            if mult[part] == 0:
+                continue
+            m2 = dict(mult)
+            m2[part] -= 1
+            sub = rec(j + 1, m2)
+            if sub.is_zero():
+                continue
+            total = total + MPoly.var(f"xb{j}", part + 1, mult[part] * part) * sub
+        return total
+
+    return rec(1, mult)
+
+
+def _assert_oracle_is_term_by_term(table, params, g, n, d_max=None):
+    got = wgn_oracle(table, params, g, n, d_max=d_max)
+    ref = _reference_wgn_oracle(table, params, g, n, d_max=d_max)
+    assert list(got.coeffs) == ref, (g, n, d_max)
+    assert repr(got) == repr(TSeries(len(ref) - 1, ref)), (g, n, d_max)
+    for a, b in zip(got.coeffs, ref):
+        assert [(m, type(c), c) for m, c in a.terms.items()] == \
+            [(m, type(c), c) for m, c in b.terms.items()], (g, n, d_max)
+
+
+@pytest.mark.parametrize("m,r,u_exp", [
+    (1, 0, None), (1, 1, None), (2, 1, None), (0, 1, None), (1, 0, F(1, 5)),
+])
+def test_oracle_equals_term_by_term(m, r, u_exp):
+    # the shapes of test_character_route_matches_enumeration, with runs long
+    # enough for genus 2, and one exponential model
+    d = 4 if r == 0 and u_exp is None else 3
+    params = small_params(m, r, d, u_exp=u_exp)
+    bounds = (EllBounds(run_max=0, exp_run_max=8) if u_exp is not None
+              else EllBounds(run_max=0 if r == 0 else 2 * d + 2))
+    tab = build_table(params, d, bounds)
+    for g in (0, 1, 2):
+        for n in (1, 2, 3):
+            _assert_oracle_is_term_by_term(tab, params, g, n)
+    _assert_oracle_is_term_by_term(tab, params, 0, 2, d_max=d - 1)
+
+
+def test_genus_index_follows_the_counts():
+    # an add to a key already present keeps len(counts), and must still
+    # reach the next call
+    params = small_params(1, 1, 2)
+    tab = build_table(params, 2, EllBounds(run_max=2))
+    before = wgn_oracle(tab, params, 0, 1)
+    key, count = next((k, c) for k, c in tab.entries(connected=True)
+                      if tab.genus(k) == 0 and k[0] == (2,))
+    size = len(tab.counts)
+    tab.add(key, count)
+    assert len(tab.counts) == size
+    after = wgn_oracle(tab, params, 0, 1)
+    assert after != before
+    assert list(after.coeffs) == _reference_wgn_oracle(tab, params, 0, 1)
 
 
 # --- genus-graded character route (second oracle) --------------------------------

@@ -42,6 +42,17 @@ def test_series_reversion_roundtrip():
     assert np.max(np.abs(s_compose(f, g) - wseries(L))) < 1e-12
 
 
+def test_series_reversion_of_w_exp_minus_w_is_the_lambert_series():
+    # the inverse of w e^(-w) is sum_k k^(k-1)/k! w^k
+    L = 24
+    f = np.array([0.0] + [(-1) ** (k - 1) / math.factorial(k - 1) for k in range(1, L)],
+                 dtype=complex)
+    lambert = np.array([0.0] + [k ** (k - 1) / math.factorial(k) for k in range(1, L)])
+    g = s_revert(f)
+    assert g[0] == 0
+    assert np.max(np.abs(g[1:] - lambert[1:]) / lambert[1:]) < 1e-12
+
+
 def test_series_sqrt_and_inverse():
     L = 10
     a = np.zeros(L, dtype=complex)
