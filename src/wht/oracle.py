@@ -7,6 +7,11 @@ Two fully independent routes compute the same numbers:
   prefix) that tracks transitivity through the joins, and
 * the character expansion of the grand generating function (Schur route).
 
+The character side is one table per size d, the character table X_d of S_d
+built by ribbon removal, with three consumers: `tau_schur`,
+`hurwitz_character_table` and `wgn_via_characters` are integer matrix
+products on X_d and the content weights of the shapes.
+
 Everything downstream (spectral series, slice formulas, topological
 recursion) is validated against the tables produced here.
 """
@@ -17,12 +22,12 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import numpy as np
 
 from .model import EllBounds, ModelParams
-from .ring import MPoly, TSeries, RingUsageError, _common, is_zero
+from .ring import MPoly, TSeries, RingUsageError, _common
 
 __all__ = [
     "ModelParams", "EllBounds", "HurwitzTable",
@@ -30,7 +35,6 @@ __all__ = [
     "monotone_runs", "enumerate_factorisations", "enumeration_total",
     "build_table",
     "tau_schur", "tau_from_table", "hurwitz_character_table", "wgn_oracle",
-    "content_weight",
 ]
 
 
@@ -87,37 +91,70 @@ def class_size(lam) -> int:
     return factorial(sum(lam)) // z_lambda(lam)
 
 
-def _beta_set(lam):
-    ln = len(lam)
-    return tuple(lam[i] + (ln - 1 - i) for i in range(ln))
-
-
-def _partition_from_beta(beta):
-    ln = len(beta)
-    srt = sorted(beta, reverse=True)
-    lam = [srt[i] - (ln - 1 - i) for i in range(ln)]
-    return tuple(p for p in lam if p > 0)
+# Entries of the int64 character tables: |chi| <= sqrt(d!), and an entry of
+# X_d sums at most d entries of a smaller table, so every partial sum stays
+# below sqrt(d * d!).  d * d! < 2^126 holds up to d = 32.
+_CHARACTER_MAX_D = 32
 
 
 @cache
+def _partition_index(d: int) -> dict:
+    return {lam: i for i, lam in enumerate(partitions(d))}
+
+
+@cache
+def _ribbon_table(d: int) -> np.ndarray:
+    """chi^lam(mu) in int64, lam (rows) and mu (columns) in partitions(d),
+    by ribbon removal one column block at a time: for the mu with first part
+    k, X_d[:, mu] = R_{d,k} X_{d-k}[:, mu minus mu_1], where R_{d,k}[lam,
+    kappa] = (-1)^height when kappa is lam minus one k-ribbon, that is, one
+    element b of the beta-set of lam moved down to a free b - k past
+    `height` others."""
+    if d > _CHARACTER_MAX_D:
+        raise RingUsageError(f"character tables are int64, which holds them "
+                             f"up to d = {_CHARACTER_MAX_D}, not {d}")
+    if d == 0:
+        return np.ones((1, 1), dtype=np.int64)
+    parts = partitions(d)
+    ribbons = {k: [] for k in range(1, d + 1)}     # k -> [(lam, kappa, sign)]
+    for i, lam in enumerate(parts):
+        n = len(lam)
+        beta = {part + n - 1 - r for r, part in enumerate(lam)}
+        for b in beta:
+            for nb in set(range(b)) - beta:
+                rest = sorted(beta - {b} | {nb}, reverse=True)
+                kappa = tuple(x - n + 1 + r for r, x in enumerate(rest)
+                              if x > n - 1 - r)
+                ribbons[b - nb].append(
+                    (i, kappa, (-1) ** sum(nb < x < b for x in beta)))
+    X = np.zeros((len(parts), len(parts)), dtype=np.int64)
+    for k, ribbon in ribbons.items():
+        # the mu with first part k are adjacent in lexicographic order
+        cols = [j for j, mu in enumerate(parts) if mu[0] == k]
+        sub = _partition_index(d - k)
+        rows, kappas, signs = zip(*ribbon)
+        Y = _ribbon_table(d - k)[np.ix_([sub[kappa] for kappa in kappas],
+                                        [sub[parts[j][1:]] for j in cols])]
+        np.add.at(X[:, cols[0]:cols[-1] + 1], list(rows),
+                  Y * np.array(signs)[:, None])
+    return X
+
+
+@cache
+def _character_matrix(d: int) -> np.ndarray:
+    """X_d as Python ints, so that every product with it is exact."""
+    return _ribbon_table(d).astype(object)
+
+
 def character_value(lam: tuple, mu: tuple) -> int:
-    """Irreducible symmetric-group character at a conjugacy class, by ribbon
-    removal on the beta-set of the shape."""
+    """Irreducible symmetric-group character chi^lam at the class mu, read
+    from the character table."""
     if sum(lam) != sum(mu):
         raise RingUsageError("character needs |lam| == |mu|")
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    beta = set(_beta_set(lam))
-    total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in beta:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        newbeta = (beta - {b}) | {nb}
-        total += (-1) ** height * character_value(_partition_from_beta(tuple(newbeta)), rest)
-    return total
+    index = _partition_index(sum(mu))
+    if lam not in index or mu not in index:
+        raise RingUsageError(f"character needs partitions, not {lam}, {mu}")
+    return _character_matrix(sum(mu))[index[lam], index[mu]]
 
 
 def hook_lengths(lam):
@@ -141,64 +178,44 @@ def contents(lam):
 # content-product weight of a shape
 
 
-def content_weight(lam, params: ModelParams, u_symbolic=False,
-                   ell_cap: int | None = None, v_cap: int | None = None):
-    """Product of the rational(-exponential) weight over the boxes of a shape.
+@lru_cache(maxsize=1 << 12)
+def _content_functions(lam, K: int) -> tuple:
+    """Elementary and complete symmetric functions of degrees up to K in the
+    box contents of lam."""
+    cs = [c for c in contents(lam) if c]
+    e, h = [1] + [0] * min(K, len(cs)), [1] + [0] * K
+    for c in cs:
+        for k in range(len(e) - 1, 0, -1):
+            e[k] += c * e[k - 1]
+        for k in range(1, K + 1):
+            h[k] += c * h[k - 1]
+    return tuple(e), tuple(h)
 
-    With symbolic u the denominator parameters are expanded as truncated
-    polynomials, total degree `ell_cap` per parameter; the exponential weight
-    expands to degree `v_cap` in the variable "v".  Otherwise the configured
-    values are substituted (denominator factors must not vanish at any box
-    content; an exact u_exp gives the complex value exp(u_exp * contents)).
-    """
-    cs = contents(lam)
-    w = MPoly.const(1) if u_symbolic else 1
-    for i in range(params.m):
-        ui = MPoly.var(f"u{i}") if u_symbolic else params.u[i]
-        for c in cs:
-            w = w * (1 + c * ui)
-    for j in range(params.m, params.M):
-        if u_symbolic:
-            uj = MPoly.var(f"u{j}")
-            if ell_cap is None:
-                raise RingUsageError("symbolic denominator weights need ell_cap")
-            for c in cs:
-                # truncated expansion of 1/(1 + c*u_j)
-                term = MPoly.const(1)
-                geo = MPoly.const(1)
-                for k in range(1, ell_cap + 1):
-                    geo = geo * (-c) * uj
-                    term = term + geo
-                w = _truncate_var(w * term, f"u{j}", ell_cap)
-        else:
-            for c in cs:
-                den = 1 + c * params.u[j]
-                if is_zero(den):
-                    raise ZeroDivisionError(
-                        f"weight denominator vanishes at content {c}")
-                w = w * (Fraction(1, 1) / den)
+
+def _shape_weights(d: int, params: ModelParams, ell_cap, v_cap):
+    """The content weights of the shapes of size d, coefficient by
+    coefficient: (ell, ell_exp, W) for every nonzero W, where W over
+    partitions(d) is ell_exp! times the coefficient of u^ell v^ell_exp.  A
+    numerator color gives e_l of the box contents, a denominator color
+    (-1)^l h_l up to l = ell_cap, and the exponential weight (sum of
+    contents)^k up to k = v_cap."""
+    if params.r and ell_cap is None:
+        raise RingUsageError("symbolic denominator weights need ell_cap")
+    if params.has_exp and v_cap is None:
+        raise RingUsageError("symbolic exponential weight needs v_cap")
+    parts = partitions(d)
+    eh = [_content_functions(lam, max(d - 1, ell_cap or 0)) for lam in parts]
+    colors = [[e + (0,) * (d - len(e)) for e, _ in eh]] * params.m
+    colors += [[[(-1) ** ln * x for ln, x in enumerate(h[:ell_cap + 1])]
+                for _, h in eh]] * params.r
     if params.has_exp:
-        csum = sum(cs)
-        if u_symbolic:
-            if v_cap is None:
-                raise RingUsageError("symbolic exponential weight needs v_cap")
-            v = MPoly.var("v")
-            e = MPoly.const(1)
-            pw = MPoly.const(1)
-            for k in range(1, v_cap + 1):
-                pw = pw * csum * v
-                e = e + pw.map_coeffs(lambda x: Fraction(x, factorial(k))
-                                      if isinstance(x, int) else x / factorial(k))
-            w = w * e
-        else:
-            import cmath
-            w = w * cmath.exp(params.u_exp * csum)
-    return w
-
-
-def _truncate_var(p: MPoly, name: str, cap: int) -> MPoly:
-    out = {m: c for m, c in p.terms.items() if dict(m).get(name, 0) <= cap}
-    return MPoly(out)
+        colors.append([[sum(contents(lam)) ** k for k in range(v_cap + 1)]
+                       for lam in parts])
+    factors = [np.array(rows, dtype=object) for rows in colors]
+    for ell in itertools.product(*(range(f.shape[1]) for f in factors)):
+        W = np.prod([f[:, ln] for f, ln in zip(factors, ell)], axis=0)
+        if W.any():
+            yield ell[:params.M], ell[params.M] if params.has_exp else None, W
 
 
 # ---------------------------------------------------------------------------
@@ -750,22 +767,44 @@ def build_table(params: ModelParams, d_max: int, bounds: EllBounds) -> HurwitzTa
 
 def tau_schur(params: ModelParams, d_max: int, u_symbolic=False,
               ell_cap: int | None = None, v_cap: int | None = None) -> TSeries:
-    """Schur-expansion of the grand generating function, truncated at t^d_max.
+    """Schur expansion of the grand generating function, truncated at t^d_max:
+    per size d, s(p)^T diag(W) s(q) with s(p) = X_d (p_mu / z_mu).
 
-    Face weights beyond the configured degree caps are zero.  With symbolic u
-    the coefficients are truncated polynomials in u0..; otherwise the
-    configured values are substituted.
+    Face weights beyond the configured degree caps are zero.  With symbolic
+    u, W is each coefficient of `_shape_weights`.  Otherwise W is
+    prod_i E(u_i) / prod_j E(u_j), E(x) = sum_l e_l(contents) x^l, times the
+    complex exp(u_exp * sum of contents) when u_exp is set.
     """
+    import cmath
     coeffs = [1] + [0] * d_max
     for d in range(1, d_max + 1):
+        sp, Dp = _schur_numerators(d, params.p)
+        sq, Dq = _schur_numerators(d, params.q)
+        shapes = [k for k in range(len(sp)) if sp[k] and sq[k]]
+        if not shapes:
+            continue
+        if u_symbolic:
+            terms = {}
+            for ell, ell_exp, W in _shape_weights(d, params, ell_cap, v_cap):
+                num = (sp * sq) @ W
+                if num:
+                    mono = [(f"u{c}", e) for c, e in enumerate(ell) if e]
+                    mono += [("v", ell_exp)] if ell_exp else []
+                    terms[tuple(sorted(mono))] = Fraction(
+                        num, Dp * Dq * factorial(ell_exp or 0))
+            coeffs[d] = MPoly(terms)
+            continue
         total = 0
-        for lam in partitions(d):
-            sp = _schur_value(lam, params.p)
-            sq = _schur_value(lam, params.q)
-            if is_zero(sp) or is_zero(sq):
-                continue
-            total = total + sp * sq * content_weight(
-                lam, params, u_symbolic=u_symbolic, ell_cap=ell_cap, v_cap=v_cap)
+        for k in shapes:
+            lam = partitions(d)[k]
+            e = _content_functions(lam, d - 1)[0]
+            E = [sum(c * x ** ln for ln, c in enumerate(e)) for x in params.u]
+            if not all(E[params.m:]):
+                raise ZeroDivisionError(f"weight denominator vanishes on {lam}")
+            w = prod(E[:params.m], start=Fraction(1)) / prod(E[params.m:])
+            if params.has_exp:
+                w = w * cmath.exp(params.u_exp * sum(contents(lam)))
+            total = total + Fraction(sp[k], Dp) * Fraction(sq[k], Dq) * w
         coeffs[d] = total
     return TSeries(d_max, coeffs)
 
@@ -778,62 +817,41 @@ def _weight(nu, w):
     return out
 
 
-def _schur_value(lam, weights):
-    """Schur polynomial in power sums with exact power-sum values; weights
-    beyond the list are zero."""
-    total = 0
-    for mu in partitions(sum(lam)):
-        pm = _weight(mu, weights)
-        if is_zero(pm):
-            continue
-        chi = character_value(lam, mu)
-        if chi == 0:
-            continue
-        total = total + Fraction(chi, z_lambda(mu)) * pm
-    return total
+def _schur_numerators(d: int, weights) -> tuple:
+    """(s_lam(weights) * D over partitions(d), D): the Schur polynomials at
+    power sums p_k = weights[k - 1], zero beyond the list, as the integer
+    vector X_d (D p_mu / z_mu) with one common denominator D."""
+    wn, Dw, _ = _common(weights)
+    v = np.array([_weight(mu, wn) * Dw ** (d - len(mu))
+                  * (factorial(d) // z_lambda(mu)) for mu in partitions(d)],
+                 dtype=object)
+    return _character_matrix(d) @ v, Dw ** d * factorial(d)
 
 
 def hurwitz_character_table(d: int, params: ModelParams, ell_cap: int,
                             v_cap: int | None = None) -> dict:
     """Disconnected counts per key from the character expansion: the
     coefficient of u^ell (and v^ell_exp/ell_exp!) in
-    |C_lam| |C_mu| / d! * sum_shape chi(lam) chi(mu) prod G(content).
+    |C_lam| |C_mu| / d! * sum_shape chi(lam) chi(mu) prod G(content), that
+    is diag(|C|) X_d^T diag(W) X_d diag(|C|) / d! per ell-vector.
 
     Returns {(lam, mu, ell, ell_exp): signed integer}; the sign is
     (-1)^(sum of denominator run lengths).
     """
+    parts, X = partitions(d), _character_matrix(d)
+    sizes = np.array([class_size(mu) for mu in parts], dtype=object)
+    counts = {(ell, ell_exp): np.outer(sizes, sizes) * (X.T @ (W[:, None] * X))
+              for ell, ell_exp, W in _shape_weights(d, params, ell_cap, v_cap)}
     out = {}
-    for lam in partitions(d):
-        for mu in partitions(d):
-            acc = MPoly()
-            for shape in partitions(d):
-                cl = character_value(shape, lam)
-                cm = character_value(shape, mu)
-                if cl == 0 or cm == 0:
-                    continue
-                w = content_weight(shape, params, u_symbolic=True,
-                                   ell_cap=ell_cap, v_cap=v_cap)
-                acc = acc + cl * cm * w
-            if acc.is_zero():
-                continue
-            pref = Fraction(class_size(lam) * class_size(mu), factorial(d))
-            for mono, c in acc.terms.items():
-                val = pref * c
-                ell = [0] * params.M
-                ell_exp = 0 if params.has_exp else None
-                for name, e in mono:
-                    if name.startswith("u"):
-                        ell[int(name[1:])] = e
-                    elif name == "v":
-                        ell_exp = e
-                if params.has_exp:
-                    val = val * factorial(ell_exp)
-                if val == 0:
-                    continue
-                if val.denominator != 1:
+    for a, lam in enumerate(parts):
+        for b, mu in enumerate(parts):
+            for (ell, ell_exp), C in counts.items():
+                val, rest = divmod(C[a, b], factorial(d))
+                if rest:
                     raise RingUsageError(
                         f"non-integer character-side count at {lam},{mu},{ell}")
-                out[(lam, mu, tuple(ell), ell_exp)] = int(val)
+                if val:
+                    out[(lam, mu, ell, ell_exp)] = val
     return out
 
 
@@ -903,28 +921,6 @@ def tau_from_table(table: HurwitzTable, params: ModelParams, d_max: int,
 # i < L = top/2 + T + 1, rows multiply as power series in i truncated at L,
 # and every kept entry is exact.  With u = a/Du and N = Du nu all weights
 # are integers, and a degree-d row is an integer row over Delta^d.
-
-
-@cache
-def _character_matrix(d: int) -> np.ndarray:
-    """chi^lam(mu) for lam (rows) and mu (columns) in partitions(d)."""
-    parts = partitions(d)
-    return np.array([[character_value(lam, mu) for mu in parts]
-                     for lam in parts], dtype=object)
-
-
-@lru_cache(maxsize=1 << 12)
-def _content_functions(lam, K: int) -> tuple:
-    """Elementary and complete symmetric functions of degrees up to K in the
-    box contents of lam."""
-    cs = [c for c in contents(lam) if c]
-    e, h = [1] + [0] * min(K, len(cs)), [1] + [0] * K
-    for c in cs:
-        for k in range(len(e) - 1, 0, -1):
-            e[k] += c * e[k - 1]
-        for k in range(1, K + 1):
-            h[k] += c * h[k - 1]
-    return tuple(e), tuple(h)
 
 
 def _content_row(lam, a, params: ModelParams, K: int) -> np.ndarray:

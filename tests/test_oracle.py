@@ -1,6 +1,7 @@
+import cmath
 import math
 from fractions import Fraction as F
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from wht.model import EllBounds, ModelParams
 from wht.oracle import (
-    build_table, character_value, class_size, enumerate_factorisations,
+    build_table, character_value, class_size, contents, enumerate_factorisations,
     enumeration_total, hook_lengths, hurwitz_character_table, monotone_runs,
-    partitions, tau_from_table, tau_schur, wgn_oracle,
+    partitions, tau_from_table, tau_schur, wgn_oracle, z_lambda,
 )
 from wht.ring import MPoly, RingUsageError, TSeries, is_zero
 
@@ -55,6 +56,62 @@ def test_character_orthogonality():
 def test_character_size_mismatch():
     with pytest.raises(RingUsageError):
         character_value((2,), (1, 1, 1))
+
+
+def test_character_of_a_non_partition_raises():
+    for lam, mu in (((1, 2), (3,)), ((3,), (0, 3)), ((4, -1), (2, 1))):
+        with pytest.raises(RingUsageError, match="partitions"):
+            character_value(lam, mu)
+
+
+# The character tables are built by ribbon removal on whole column blocks.
+# The reference is the Murnaghan-Nakayama rule one (lam, mu) pair at a time,
+# on the beta-set of lam.
+
+@cache
+def _reference_character(lam, mu):
+    if not mu:
+        return 1
+    k, n = mu[0], len(lam)
+    beta = {part + n - 1 - i for i, part in enumerate(lam)}
+    total = 0
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        height = sum(1 for x in beta if b - k < x < b)
+        rest = sorted(beta - {b} | {b - k}, reverse=True)
+        kappa = tuple(x - (n - 1 - i) for i, x in enumerate(rest)
+                      if x > n - 1 - i)
+        total += (-1) ** height * _reference_character(kappa, mu[1:])
+    return total
+
+
+def test_ribbon_tables_equal_the_beta_set_reference():
+    from wht.oracle import _character_matrix
+    for d in range(13):
+        X = _character_matrix(d)
+        assert [[type(x) for x in row] for row in X] == [[int] * len(X)] * len(X)
+        assert X.tolist() == [[_reference_character(lam, mu) for mu in partitions(d)]
+                              for lam in partitions(d)], d
+
+
+def test_character_columns_orthogonal_at_d18():
+    # sum_lam chi(mu) chi(nu) = z_mu delta(mu, nu); int64 is exact here, as
+    # each partial sum is at most sqrt(z_mu z_nu) <= 18! < 2^63
+    from wht.oracle import _ribbon_table
+    X = _ribbon_table(18)
+    z = [z_lambda(mu) for mu in partitions(18)]
+    assert (X.T @ X == np.diag(z)).all()
+
+
+def test_character_table_past_the_int64_bound_raises_first():
+    from wht.oracle import _CHARACTER_MAX_D, _ribbon_table
+    d = _CHARACTER_MAX_D
+    assert d * math.factorial(d) < 2 ** 126 <= (d + 1) * math.factorial(d + 1)
+    built = _ribbon_table.cache_info().currsize
+    with pytest.raises(RingUsageError, match=f"up to d = {d}"):
+        _ribbon_table(d + 1)
+    assert _ribbon_table.cache_info().currsize == built
 
 
 # --- monotone runs ------------------------------------------------------------
@@ -170,8 +227,6 @@ def test_counts_match_characters_exponential():
     params = small_params(1, 1, 3, u_exp=F(1, 5))
     tab = enumerate_factorisations(3, params, EllBounds(run_max=3, exp_run_max=3))
     km = hurwitz_character_table(3, params, ell_cap=3, v_cap=3)
-    for (lam, mu, ell, ee, _), cnt in tab.entries():
-        pass
     enum = {}
     for (lam, mu, ell, ee, _), cnt in tab.entries():
         sign = (-1) ** sum(ell[1:])
@@ -238,6 +293,161 @@ def test_exponential_weight_consistency_d2():
     for k, v in km.items():
         if (k[3] or 0) <= 6:
             assert enum.get(k, 0) == v, k
+
+
+# tau_schur and hurwitz_character_table are matrix products on the
+# character tables.  The references sum over shapes term by term, with the
+# symbolic content weight of each shape as an MPoly product box by box and
+# the Schur values as Fraction sums; values and scalar types must agree.
+
+def _reference_content_weight(lam, params, u_symbolic, ell_cap, v_cap):
+    cs = contents(lam)
+    w = MPoly.const(1) if u_symbolic else 1
+    for i in range(params.m):
+        ui = MPoly.var(f"u{i}") if u_symbolic else params.u[i]
+        for c in cs:
+            w = w * (1 + c * ui)
+    for j in range(params.m, params.M):
+        for c in cs:
+            if u_symbolic:
+                term = MPoly.const(1)
+                for k in range(1, ell_cap + 1):
+                    term = term + MPoly.var(f"u{j}", k, (-c) ** k)
+                w = MPoly({m: x for m, x in (w * term).terms.items()
+                           if dict(m).get(f"u{j}", 0) <= ell_cap})
+            else:
+                w = w * (F(1, 1) / (1 + c * params.u[j]))
+    if params.has_exp:
+        csum = sum(cs)
+        if u_symbolic:
+            e = MPoly.const(1)
+            for k in range(1, v_cap + 1):
+                e = e + MPoly.var("v", k, F(csum ** k, math.factorial(k)))
+            w = w * e
+        else:
+            w = w * cmath.exp(params.u_exp * csum)
+    return w
+
+
+def _reference_schur_value(lam, weights):
+    total = 0
+    for mu in partitions(sum(lam)):
+        pm = 1
+        for part in mu:
+            pm = pm * (weights[part - 1] if part <= len(weights) else 0)
+        chi = _reference_character(lam, mu)
+        if pm and chi:
+            total = total + F(chi, z_lambda(mu)) * pm
+    return total
+
+
+def _reference_tau_schur(params, d_max, u_symbolic=False, ell_cap=None,
+                         v_cap=None):
+    coeffs = [1] + [0] * d_max
+    for d in range(1, d_max + 1):
+        total = 0
+        for lam in partitions(d):
+            sp = _reference_schur_value(lam, params.p)
+            sq = _reference_schur_value(lam, params.q)
+            if sp and sq:
+                total = total + sp * sq * _reference_content_weight(
+                    lam, params, u_symbolic, ell_cap, v_cap)
+        coeffs[d] = total
+    return TSeries(d_max, coeffs)
+
+
+def _reference_hurwitz_character_table(d, params, ell_cap, v_cap=None):
+    out = {}
+    for lam in partitions(d):
+        for mu in partitions(d):
+            acc = MPoly()
+            for shape in partitions(d):
+                cl = _reference_character(shape, lam)
+                cm = _reference_character(shape, mu)
+                if cl and cm:
+                    acc = acc + cl * cm * _reference_content_weight(
+                        shape, params, True, ell_cap, v_cap)
+            pref = F(class_size(lam) * class_size(mu), math.factorial(d))
+            for mono, c in acc.terms.items():
+                powers = dict(mono)
+                ell = tuple(powers.get(f"u{i}", 0) for i in range(params.M))
+                ell_exp = powers.get("v", 0) if params.has_exp else None
+                val = pref * c * math.factorial(ell_exp or 0)
+                assert val.denominator == 1
+                out[(lam, mu, ell, ell_exp)] = int(val)
+    return out
+
+
+def _typed(c):
+    """A coefficient as comparable data, scalar types included; MPoly terms
+    in monomial order."""
+    if isinstance(c, MPoly):
+        return sorted((m, type(x), x) for m, x in c.terms.items())
+    return type(c), c
+
+
+def _assert_same_tau(params, d_max, **symbolic):
+    got = tau_schur(params, d_max, **symbolic)
+    ref = _reference_tau_schur(params, d_max, **symbolic)
+    assert [_typed(c) for c in got.coeffs] == [_typed(c) for c in ref.coeffs]
+
+
+def _demo01_params():
+    return ModelParams.make(m=1, r=1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
+                            q=[F(2, 7)], T=3)
+
+
+def test_tau_schur_equals_the_reference_on_concordance_models():
+    from wht.verify import (
+        CONCORDANCE_MODELS, _concordance_params, _model_depth, _run_cap)
+    for (m, r) in CONCORDANCE_MODELS:
+        d = _model_depth(m, r)
+        params = _concordance_params(m, r, d)
+        _assert_same_tau(params, d, u_symbolic=True,
+                         ell_cap=max(_run_cap(r, d), 1))
+        _assert_same_tau(params, d)
+
+
+def test_tau_schur_equals_the_reference_on_small_models():
+    for m, r, cap in ((1, 0, 0), (2, 0, 0), (1, 1, 4), (0, 1, 4)):
+        _assert_same_tau(small_params(m, r, 3), 3, u_symbolic=True,
+                         ell_cap=max(cap, 1))
+    _assert_same_tau(small_params(1, 0, 2), 2)
+    _assert_same_tau(small_params(2, 2, 4), 4)
+    _assert_same_tau(_demo01_params(), 3)
+    _assert_same_tau(_demo01_params(), 3, u_symbolic=True, ell_cap=4)
+
+
+@pytest.mark.parametrize("m,r", [(1, 0), (1, 1), (0, 1), (2, 1)])
+def test_tau_schur_equals_the_reference_exponential(m, r):
+    # the numeric values are complex, and must agree to the last bit
+    for u_exp in (F(1, 5), F(-2, 5)):
+        params = small_params(m, r, 4, u_exp=u_exp)
+        _assert_same_tau(params, 4, u_symbolic=True, ell_cap=3, v_cap=5)
+        _assert_same_tau(params, 4)
+
+
+@pytest.mark.parametrize("m,r,d,cap,u_exp,v_cap", [
+    (1, 0, 3, 0, None, None), (2, 0, 3, 0, None, None),
+    (3, 0, 3, 0, None, None), (0, 1, 3, 4, None, None),
+    (1, 1, 3, 4, None, None), (2, 1, 3, 4, None, None),
+    (1, 0, 4, 0, None, None), (1, 1, 4, 4, None, None),
+    (1, 1, 3, 3, F(1, 5), 3), (1, 0, 2, 1, F(1, 5), 6),
+])
+def test_hurwitz_character_table_equals_the_reference(m, r, d, cap, u_exp,
+                                                      v_cap):
+    params = small_params(m, r, d, u_exp=u_exp)
+    got = hurwitz_character_table(d, params, ell_cap=cap, v_cap=v_cap)
+    ref = _reference_hurwitz_character_table(d, params, cap, v_cap)
+    assert got == ref
+    assert {type(v) for v in got.values()} == {int}
+    # keys run over (lam, mu) in partition order, as in the reference
+    assert [k[:2] for k in got] == [k[:2] for k in ref]
+
+
+def test_hurwitz_character_table_equals_the_reference_demo01():
+    got = hurwitz_character_table(2, _demo01_params(), ell_cap=4)
+    assert got == _reference_hurwitz_character_table(2, _demo01_params(), 4)
 
 
 # --- correlators ---------------------------------------------------------------
@@ -449,7 +659,6 @@ def _nl_mul(a, b, lo, hi):
 
 
 def _graded_content_weight(lam, params, lo, hi):
-    from wht.oracle import contents
     w = {0: F(1)}
     for c in contents(lam):
         for i in range(params.m):
@@ -469,11 +678,10 @@ def _graded_content_weight(lam, params, lo, hi):
 
 
 def _graded_schur(lam, weights, derivs):
-    from wht.oracle import z_lambda
     out = {}
     for mu in partitions(sum(lam)):
         work = {part: mu.count(part) for part in mu}
-        val = F(character_value(lam, mu), z_lambda(mu))
+        val = F(_reference_character(lam, mu), z_lambda(mu))
         for i in derivs:
             val = val * work.get(i, 0)
             work[i] = work.get(i, 0) - 1
