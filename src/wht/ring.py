@@ -15,34 +15,31 @@ function, so independent computations can safely run in parallel.
 Every product-sum runs on integers.  A kernel brings each operand to integer
 numerators over one common denominator (``_common``), accumulates integer
 products, and builds one ``Fraction`` per output coefficient instead of one
-per term product:
+per term product.  There are two kernels:
 
-* ``TSeries.__mul__`` on rational coefficients convolves two numerator lists;
-* ``TSeries.__mul__`` on MPoly coefficients, and ``invert`` on any, hold
-  each coefficient as (monomial code, numerator) pairs over one denominator
-  per operand (``_Terms``) and accumulate ``{monomial: int}`` per output
-  order; the growing rows of ``invert`` keep their own reduced
-  denominators;
 * ``MPoly.__mul__`` accumulates ``{monomial: int}`` for one pair;
-* ``ZStream`` computes a Laurent block one t^k slice at a time: a slice is
-  one row of (z-exponent, numerator) pairs over one reduced denominator,
-  and each product, inverse or exponential slice is one accumulation over
-  the slices below it; ``ZLaurent``'s products, powers, inverses and
-  exponentials run on these kernels too.
+* every series runs on slices: a slice is one row of (exponent code,
+  numerator) pairs over one denominator, and each product, inverse or
+  exponential slice is one accumulation over the slices below it
+  (``_products``).  ``ZStream`` computes a Laurent block one t^k slice at a
+  time, the codes being z-exponents, and ``ZLaurent``'s products, powers,
+  inverses and exponentials run on it; ``TSeries`` codes each coefficient
+  as one slice of monomial codes (``_Terms``), which add under products as
+  z-exponents do.
 
 An output coefficient is an ``int`` when no operand holds a ``Fraction``,
-and a scalar zero is the int 0; ``invert`` returns Fractions.  A
-block coefficient is an ``int`` when its whole t^k slice is integral.  As
-in a term-by-term sum, a series coefficient is an MPoly when an MPoly entered
-it: a cancelled product coefficient is ``MPoly()``, a cancelled coefficient
-of an inverse the int 0.
+and a scalar zero is the int 0; ``invert`` and ``exp`` return Fractions,
+but for the int 1 at t^0 of ``exp``.  A block coefficient is an ``int``
+when its whole t^k slice is integral.  As in a term-by-term sum, a series
+coefficient is an MPoly when an MPoly entered it: a cancelled product or
+exponential coefficient is ``MPoly()``, a cancelled coefficient of an
+inverse the int 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, inf, lcm
-from operator import mul
+from math import gcd, inf, lcm
 
 
 class RingUsageError(Exception):
@@ -309,46 +306,102 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer form of series coefficients
+# the slice kernel
 
 
-def _reduce(acc: dict, den: int):
-    """The accumulation acc over den > 0 as (row, d) over the least common
-    denominator d of its values."""
-    g = gcd(den, *acc.values())
-    return [(p, n // g) for p, n in acc.items() if n], den // g
+class _Slice:
+    """One coefficient of a series in integer form: `row` lists the (exponent
+    code, numerator) pairs of its nonzero terms over one denominator den > 0.
+    A `ZStream` slice codes z-exponents, a `TSeries` coefficient monomials
+    (`_Terms`)."""
+
+    __slots__ = ("row", "den")
+
+    def __init__(self, row, den):
+        self.row, self.den = row, den
 
 
-def _scaled(row, f: int):
-    return row if f == 1 else [(p, n * f) for p, n in row]
+_EMPTY = _Slice([], 1)
+_ONE = _Slice([(0, 1)], 1)
+
+
+def _reduced(sl: _Slice) -> _Slice:
+    """sl over the least denominator of its values."""
+    g = gcd(sl.den, *(n for _, n in sl.row))
+    if g == 1:
+        return sl
+    return _Slice([(e, n // g) for e, n in sl.row], sl.den // g)
+
+
+def _products(pairs, lo, hi, den: int = 1) -> _Slice:
+    """The slice (sum of w x y over the (x, y, w) slice pairs) / den, clipped
+    to the code window [lo, hi] (None: unbounded).  Its codes come in order
+    of first appearance, and it is not reduced: a block reduces a slice when
+    it stores it."""
+    L = 1
+    for x, y, _ in pairs:
+        if x.row and y.row:
+            d = x.den * y.den
+            if L % d:
+                L = lcm(L, d)
+    acc: dict = {}
+    for x, y, w in pairs:
+        f = w * (L // (x.den * y.den))
+        yrow = y.row
+        for i, n in x.row:
+            if f != 1:
+                n *= f
+            for j, m in yrow:
+                e = i + j
+                acc[e] = acc.get(e, 0) + n * m
+    if lo is None and hi is None:
+        return _Slice([(e, n) for e, n in acc.items() if n], L * den)
+    lo = -inf if lo is None else lo
+    hi = inf if hi is None else hi
+    return _Slice([(e, n) for e, n in acc.items() if n and lo <= e <= hi], L * den)
+
+
+def _add(x: _Slice, y: _Slice) -> _Slice:
+    if not y.row:
+        return x
+    if not x.row:
+        return y
+    L = lcm(x.den, y.den)
+    fx, fy = L // x.den, L // y.den
+    acc = {e: n * fx for e, n in x.row}
+    for e, n in y.row:
+        acc[e] = acc.get(e, 0) + n * fy
+    return _Slice([(e, n) for e, n in acc.items() if n], L)
 
 
 _DIGIT = (1 << 64) - 1        # one exponent place of a monomial code
 
 
-class _Terms:
-    """Integer form of series coefficients within one kernel call.
+class _Terms(dict):
+    """Series coefficients as slices within one `TSeries` kernel call, and
+    the map from monomial codes back to monomials.
 
     A monomial is coded as the integer sum of e * 2^(64 k) over its
     variables, where k is the place of the variable's name among all names
     of the call in sorted order; any exponent below 2^63 in size decodes
     uniquely, and the code of a product of monomials is the sum of their
-    codes.  A row lists the (code, numerator) pairs of one coefficient and is
-    empty for a zero.
+    codes, so the slice kernel multiplies coefficients as it multiplies
+    Laurent blocks in z.  A code is decoded once, on first look-up.
     """
 
     __slots__ = ("names", "weight")
 
     def __init__(self, cs):
         """`cs`: every coefficient the call reads, to fix the names."""
+        super().__init__()
         self.names = sorted({n for c in cs if type(c) is MPoly
                              for m in c.terms for n, _ in m})
         self.weight = {n: 1 << (64 * k) for k, n in enumerate(self.names)}
 
-    def rows(self, cs):
-        """(rows, D, frac, polys): c_i == sum of numerator * monomial over
-        rows[i], divided by D; frac tells whether any term is a Fraction and
-        polys[i] whether c_i is an MPoly."""
+    def slices(self, cs):
+        """(slices, D, frac, polys): c_i is slices[i] / D, each slice over
+        denominator 1; frac tells whether any term is a Fraction and polys[i]
+        whether c_i is an MPoly."""
         polys = [type(c) is MPoly for c in cs]
         terms = [c.terms if p else ({(): c} if c else {}) for c, p in zip(cs, polys)]
         values = [v for t in terms for v in t.values()]
@@ -356,15 +409,22 @@ class _Terms:
         if r is None:
             _reject(values)
         nums, D, frac = r
-        it = iter(nums)
         w = self.weight
-        rows = [[(sum(e * w[n] for n, e in m), next(it)) for m in t] for t in terms]
-        return rows, D, frac, polys
+        codes = {m: sum(e * w[n] for n, e in m) for m in {m for t in terms for m in t}}
+        self.update(zip(codes.values(), codes))
+        it = iter(nums)
+        return [_Slice([(codes[m], next(it)) for m in t], 1) for t in terms], D, frac, polys
 
-    def monomial(self, code: int) -> tuple:
+    def block(self, cs):
+        """(block, polys): the series of the coefficients cs as a `ZStream` of
+        known slices, and whether each c_i is an MPoly."""
+        xs, D, _, polys = self.slices(cs)
+        return ZStream(len(cs) - 1, slices=[_Slice(x.row, D) for x in xs]), polys
+
+    def __missing__(self, code: int) -> tuple:
         """The monomial whose code is `code`, as a sorted tuple of (name,
         exponent) pairs."""
-        mono = []
+        key, mono = code, []
         for name in self.names:
             e = code & _DIGIT
             if e > _DIGIT >> 1:
@@ -372,26 +432,16 @@ class _Terms:
             code = (code - e) >> 64
             if e:
                 mono.append((name, e))
-        return tuple(mono)
+        self[key] = m = tuple(mono)
+        return m
 
-    def coeff(self, terms, D: int, frac: bool, poly: bool):
-        """The coefficient sum of numerator * monomial over the (code,
-        numerator) pairs `terms`, divided by D: an MPoly when `poly`, else a
-        scalar."""
+    def coeff(self, sl: _Slice, frac: bool, poly: bool):
+        """The coefficient that the slice sl codes: an MPoly when `poly`,
+        else a scalar, its terms Fractions when `frac`."""
+        D = sl.den
         if poly:
-            return MPoly({self.monomial(p): _rational(n, D, frac)
-                          for p, n in terms if n})
-        return _rational(sum(n for _, n in terms), D, frac)
-
-
-def _dot(pairs, acc: dict) -> dict:
-    """Add the products of the rows of each pair (x, y) into acc."""
-    for x, y in pairs:
-        for i, n in x:
-            for j, m in y:
-                p = i + j
-                acc[p] = acc.get(p, 0) + n * m
-    return acc
+            return MPoly({self[p]: Fraction(n, D) if frac else n for p, n in sl.row})
+        return _rational(sum(n for _, n in sl.row), D, frac)
 
 
 def _reject(values):
@@ -471,31 +521,22 @@ class TSeries:
         return TSeries.const(self.order, other) + (-self)
 
     def __mul__(self, other):
+        """Product; coefficient k is one `_products` call over the pairs
+        (a_i, b_(k-i)) of nonzero coefficients, an MPoly when an MPoly is
+        among them and the int 0 when there are none."""
         if not isinstance(other, TSeries):
             return self.scale(other)
         self._check(other)
-        T = self.order
-        ra = _common(self.coeffs)
-        rb = _common(other.coeffs) if ra is not None else None
-        if rb is not None:
-            (na, Da, fa), (nb, Db, fb) = ra, rb
-            D, frac = Da * Db, fa or fb
-            return TSeries(T, [_rational(sum(map(mul, na[:k + 1], nb[k::-1])), D, frac)
-                               for k in range(T + 1)])
         K = _Terms(self.coeffs + other.coeffs)
-        xa, Da, fa, pa = K.rows(self.coeffs)
-        xb, Db, fb, pb = K.rows(other.coeffs)
+        xa, Da, fa, pa = K.slices(self.coeffs)
+        xb, Db, fb, pb = K.slices(other.coeffs)
         D, frac = Da * Db, fa or fb
         out = []
-        for k in range(T + 1):
-            ij = [(i, k - i) for i in range(k + 1) if xa[i] and xb[k - i]]
-            if not ij:
-                out.append(0)
-                continue
-            acc = _dot([(xa[i], xb[j]) for i, j in ij], {})
-            out.append(K.coeff(acc.items(), D, frac,
-                               any(pa[i] or pb[j] for i, j in ij)))
-        return TSeries(T, out)
+        for k in range(self.order + 1):
+            ij = [(i, k - i) for i in range(k + 1) if xa[i].row and xb[k - i].row]
+            out.append(K.coeff(_products([(xa[i], xb[j], 1) for i, j in ij], None, None, D),
+                               frac, any(pa[i] or pb[j] for i, j in ij)) if ij else 0)
+        return TSeries(self.order, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -526,47 +567,42 @@ class TSeries:
         return not is_zero(c0)
 
     def invert(self) -> "TSeries":
-        """Multiplicative inverse; the t^0 coefficient must be invertible."""
+        """Multiplicative inverse; the t^0 coefficient must be invertible.
+        Its slices are those of `ZStream.invert` on an unbounded window, and
+        (1/a)_k is an MPoly when an MPoly entered a nonzero term
+        a_j (1/a)_(k-j) or a_0."""
         if not self.is_unit():
             raise RingDomainError("inversion requires a unit constant term")
         T = self.order
         K = _Terms(self.coeffs)
-        xa, _, _, pa = K.rows(self.coeffs)
-        # b_k = -(sum_j a_j b_(k-j)) / a_0 = -(sum_j alpha_j b_(k-j)) / alpha_0
-        # with a_j = alpha_j / D; with the b_(k-j) over L, the lcm of their
-        # denominators, b_k is an integer sum over L |alpha_0|, the sign of
-        # -alpha_0 folded into the scale of the rows
-        alpha0 = xa[0][0][1]
-        sign = -1 if alpha0 > 0 else 1
-        out = [scalar_invert(self.coeffs[0])]
-        rows, d0, _, _ = K.rows(out)
-        dens, polys = [d0], [pa[0]]
+        a, ps = K.block(self.coeffs)
+        inv = a.invert(None, None)
+        inv.slice(T)
+        xs, ys, polys = a.slices, inv.slices, [ps[0]]
         for k in range(1, T + 1):
-            js = [j for j in range(1, k + 1) if xa[j] and rows[k - j]]
-            L = lcm(*(dens[k - j] for j in js))
-            acc = _dot([(xa[j], _scaled(rows[k - j], sign * (L // dens[k - j])))
-                         for j in js], {})
-            poly = pa[0] or any(pa[j] or polys[k - j] for j in js)
-            row, d = _reduce(acc, L * abs(alpha0))
-            out.append(K.coeff(row, d, True, poly) if row else 0)
-            rows.append(row)
-            dens.append(d)
-            polys.append(poly)
-        return TSeries(T, out)
+            polys.append(ps[0] or any(ps[j] or polys[k - j] for j in range(1, k + 1)
+                                      if xs[j].row and ys[k - j].row))
+        return TSeries(T, [K.coeff(y, True, p) if y.row else 0 for y, p in zip(ys, polys)])
 
     def exp(self) -> "TSeries":
-        """exp of a series with zero constant term."""
+        """exp of a series F with zero constant term.  Its slices are those of
+        `ZStream.exp` on an unbounded window, k E_k = sum_j j F_j E_(k-j);
+        as in the sum of F^m / m!, E_k is an MPoly when a product
+        F_j1 ... F_jm of nonzero coefficients, j1 + ... + jm = k, holds one."""
         if not is_zero(self.coeffs[0]):
             raise RingDomainError("exp needs zero constant term")
         T = self.order
-        acc = TSeries.const(T, 1)
-        power = TSeries.const(T, 1)
+        K = _Terms(self.coeffs)
+        f, ps = K.block(self.coeffs)
+        E = f.exp(None, None)
+        E.slice(T)
+        xs = f.slices
+        reach, polys = [True], [False]      # some such product; one with an MPoly
         for k in range(1, T + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction(1, factorial(k)))
-        return acc
+            js = [j for j in range(1, k + 1) if xs[j].row and reach[k - j]]
+            reach.append(bool(js))
+            polys.append(any(ps[j] or polys[k - j] for j in js))
+        return TSeries(T, [1] + [K.coeff(e, True, p) for e, p in zip(E.slices[1:], polys[1:])])
 
     def tshift(self, s: int) -> "TSeries":
         """Multiply by t^s (coefficients beyond T are dropped)."""
@@ -805,27 +841,6 @@ class ZLaurent:
 # Laurent blocks computed order by order in t
 
 
-class _Slice:
-    """The t^k coefficient of a `ZStream` block: `row` lists the (z-exponent,
-    numerator) pairs of its nonzero coefficients over one denominator den > 0."""
-
-    __slots__ = ("row", "den")
-
-    def __init__(self, row, den):
-        self.row, self.den = row, den
-
-
-_EMPTY = _Slice([], 1)
-_ONE = _Slice([(0, 1)], 1)
-
-
-def _reduced(row, den) -> _Slice:
-    g = gcd(den, *(n for _, n in row))
-    if g > 1:
-        row, den = [(e, n // g) for e, n in row], den // g
-    return _Slice(row, den)
-
-
 def _scalar_slice(c) -> _Slice:
     """The constant c z^0 as a slice."""
     if type(c) not in (int, Fraction):
@@ -834,44 +849,6 @@ def _scalar_slice(c) -> _Slice:
     if not c:
         return _EMPTY
     return _Slice([(0, c.numerator)], c.denominator)
-
-
-def _products(pairs, lo, hi, den: int = 1) -> _Slice:
-    """The slice (sum of w x y over the (x, y, w) slice pairs) / den, clipped
-    to the z-window [lo, hi] (None: unbounded)."""
-    pairs = [(x, y, w) for x, y, w in pairs if x.row and y.row]
-    if not pairs:
-        return _EMPTY
-    L = 1
-    for x, y, _ in pairs:
-        d = x.den * y.den
-        if L % d:
-            L = lcm(L, d)
-    acc: dict = {}
-    for x, y, w in pairs:
-        f = w * (L // (x.den * y.den))
-        yrow = y.row
-        for i, n in x.row:
-            n *= f
-            for j, m in yrow:
-                e = i + j
-                acc[e] = acc.get(e, 0) + n * m
-    lo = -inf if lo is None else lo
-    hi = inf if hi is None else hi
-    return _reduced([(e, n) for e, n in acc.items() if n and lo <= e <= hi], L * den)
-
-
-def _add(x: _Slice, y: _Slice) -> _Slice:
-    if not y.row:
-        return x
-    if not x.row:
-        return y
-    L = lcm(x.den, y.den)
-    fx, fy = L // x.den, L // y.den
-    acc = {e: n * fx for e, n in x.row}
-    for e, n in y.row:
-        acc[e] = acc.get(e, 0) + n * fy
-    return _reduced([(e, n) for e, n in acc.items() if n], L)
 
 
 def _window_inverse(f: _Slice, lo, hi) -> _Slice:
@@ -885,6 +862,8 @@ def _window_inverse(f: _Slice, lo, hi) -> _Slice:
     n0 = at0[0][1]
     sign = 1 if n0 > 0 else -1
     step = _Slice([(e, -sign * n) for e, n in f.row if e], abs(n0))
+    if step.row and lo is None:
+        raise RingDomainError("an inverse on an unbounded window needs a scalar slice 0")
     inv0 = _Slice([(0, sign * f.den)], abs(n0))
     terms = [_ONE]
     while True:
@@ -895,7 +874,12 @@ def _window_inverse(f: _Slice, lo, hi) -> _Slice:
 
 
 def _window_exp(f: _Slice, lo, hi) -> _Slice:
-    """exp f on the z-window [lo, hi]: sum_m f^m / m!, which must end on it."""
+    """exp f on the z-window [lo, hi]: sum_m f^m / m!, which must end on it;
+    on an unbounded window f must be zero."""
+    if not f.row:
+        return _ONE
+    if lo is None or hi is None:
+        raise RingDomainError("ZLaurent exp did not terminate on window")
     out = term = _ONE
     for m in range(1, hi - lo + 2):
         term = _products([(term, f, 1)], lo, hi, m)
@@ -913,8 +897,9 @@ class ZStream:
     A block has the ZLaurent operations that the spectral system uses, each
     returning a new block, so that one statement of a system runs over
     either type; ZLaurent's own products, powers, inverses and exponentials
-    run here.  Its coefficients are int or Fraction; an MPoly raises
-    `RingUsageError`.  An `unknown` block receives its slices from `feed`: a
+    run here, and so do TSeries inverses and exponentials, whose blocks
+    code monomials in place of z-exponents.  Its coefficients are int or
+    Fraction; an MPoly raises `RingUsageError`.  An `unknown` block receives its slices from `feed`: a
     system X = F(X) whose right-hand side reads X only through tshift(s >= 1)
     is solved by feeding each slice of F(X) back into X.  Slice k of
     * a product is sum_j X_j Y_(k-j);
@@ -922,8 +907,10 @@ class ZStream:
     * an exponential solves k E_k = sum_j j F_j E_(k-j);
     where F_0^-1 and E_0 = exp(F_0) are taken on the z-window, because F_0
     may have negative exponents.  Inverse and exponential windows contain
-    z^0.  Each slice accumulates as integers over one denominator
-    (`_products`).
+    z^0; on an unbounded window (a bound None), F_0 must be a scalar for
+    the inverse and zero for the exponential.  Each slice accumulates as
+    integers over one denominator (`_products`) and is reduced once, when
+    the block stores it.
     """
 
     __slots__ = ("order", "val", "slices", "_rule")
@@ -947,7 +934,7 @@ class ZStream:
         while len(s) <= k:
             if self._rule is None:
                 raise RingUsageError(f"slice {len(s)} of an unknown block is not known yet")
-            s.append(self._rule(len(s)))
+            s.append(_reduced(self._rule(len(s))))
         return s[k]
 
     def _derive(self, rule, other=None, val=None, slices=None) -> "ZStream":
@@ -980,7 +967,7 @@ class ZStream:
 
         def rule(k):
             x = self.slice(k)
-            return _reduced([(e, n) for e, n in x.row if lo <= e <= hi], x.den)
+            return _Slice([(e, n) for e, n in x.row if lo <= e <= hi], x.den)
         return self._derive(rule)
 
     def tshift(self, s: int) -> "ZStream":
@@ -1011,10 +998,10 @@ class ZStream:
                 base = base.mul(base, lo, hi)
         return result
 
-    def invert(self, lo: int, hi: int) -> "ZStream":
-        """Inverse on the window [lo, hi] (lo <= 0 <= hi).  Slice 0 needs a
-        unit z^0 coefficient and no positive exponent; then every slice is a
-        finite sum on the window."""
+    def invert(self, lo, hi) -> "ZStream":
+        """Inverse on the window [lo, hi] (lo <= 0 <= hi, None: unbounded).
+        Slice 0 needs a unit z^0 coefficient and no positive exponent; then
+        every slice is a finite sum on the window."""
         # the rule reads the inverse's earlier slices through this list, which
         # the new block shares: a closure over the block itself would make a
         # reference cycle, and every solve would wait for the cyclic collector
@@ -1030,9 +1017,10 @@ class ZStream:
             return _products([(inv[0], r, 1)], lo, hi)
         return self._derive(rule, val=0, slices=inv)
 
-    def exp(self, lo: int, hi: int) -> "ZStream":
-        """exp on the window [lo, hi] (lo <= 0 <= hi); the exponential of
-        slice 0 must end on the window, so slice 0 has no z^0 term."""
+    def exp(self, lo, hi) -> "ZStream":
+        """exp on the window [lo, hi] (lo <= 0 <= hi, None: unbounded); the
+        exponential of slice 0 must end on the window, so slice 0 has no z^0
+        term."""
         E = []                  # shared with the new block, as in `invert`
         _check_window(lo, hi)
 
@@ -1058,7 +1046,7 @@ class ZStream:
 
 
 def _check_window(lo, hi):
-    if lo is None or hi is None or not lo <= 0 <= hi:
+    if not ((lo is None or lo <= 0) and (hi is None or 0 <= hi)):
         raise RingUsageError(f"the window [{lo}, {hi}] must contain z^0")
 
 

@@ -235,20 +235,24 @@ def compute_Z(sd: SpectralData) -> TSeries:
 
 
 def _z_rhs(sd: SpectralData, Z: TSeries, xb: TSeries) -> TSeries:
+    return xb * _ratio(sd, Z)
+
+
+def _ratio(sd: SpectralData, g: TSeries) -> TSeries:
+    """The unit series Phi(g) = prod A_c(g)^(side * mult) exp(u_exp eta(g))."""
     num = TSeries.const(sd.T, 1)
     den = TSeries.const(sd.T, 1)
     for c in sd.colors:
-        val = _zl_eval_poly(sd.A[c.label], Z)
+        val = _zl_eval_poly(sd.A[c.label], g)
         val = val ** c.mult if c.mult != 1 else val
         if c.side > 0:
             num = num * val
         else:
             den = den * val
-    out = xb * num * den.invert()
+    ratio = num * den.invert()
     if sd.params.has_exp:
-        ev = _zl_eval_poly(sd.eta, Z)
-        out = out * ev.scale(sd.params.u_exp).exp()
-    return out
+        ratio = ratio * _zl_eval_poly(sd.eta, g).scale(sd.params.u_exp).exp()
+    return ratio
 
 
 def _zl_eval_poly(zl: ZLaurent, g: TSeries) -> TSeries:
@@ -297,18 +301,7 @@ def curve_at(sd: SpectralData, g: TSeries, ginv: TSeries) -> tuple:
     """The two curve functions evaluated along a substitution series, with
     exact series-in-t coefficients: X = (1/z) exp-factor prod-ratio and
     Y = H/X at z = g.  `ginv` must be the series inverse of g."""
-    num = TSeries.const(sd.T, 1)
-    den = TSeries.const(sd.T, 1)
-    for c in sd.colors:
-        val = _zl_eval_poly(sd.A[c.label], g)
-        val = val ** c.mult if c.mult != 1 else val
-        if c.side > 0:
-            num = num * val
-        else:
-            den = den * val
-    ratio = num * den.invert()          # unit series
-    if sd.params.has_exp:
-        ratio = ratio * _zl_eval_poly(sd.eta, g).scale(sd.params.u_exp).exp()
+    ratio = _ratio(sd, g)
     X = ginv * ratio
     _, _, H = assemble_curve(sd)
     Y = H.eval_series(g, ginv) * g * ratio.invert()

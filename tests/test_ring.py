@@ -326,6 +326,41 @@ def test_poly_series_invert_equals_term_by_term(a):
     assert all(type(v) is F for v in scalars(out) if v != 0)
 
 
+def ref_exp(f):
+    """exp f as the sum of f^m / m!, term by term.  A coefficient of f^m
+    enters when a product f_j1 ... f_jm of nonzero coefficients reaches it,
+    even if such products cancel."""
+    T = f.order
+    out = [1] + [None] * T
+    power = {0: 1}              # the coefficients of f^(m-1) that entered
+    for m in range(1, T + 1):
+        nxt = {}
+        for i, x in power.items():
+            for j in range(1, T + 1 - i):
+                y = f.coeffs[j]
+                if not is_zero(y):
+                    nxt[i + j] = nxt[i + j] + x * y if i + j in nxt else x * y
+        power = nxt
+        for k, c in power.items():
+            c = c * F(1, factorial(m))
+            out[k] = c if out[k] is None else out[k] + c
+    return [0 if c is None else c for c in out]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(
+    poly_series(*s, head=st.sampled_from([0, MPoly()])),
+    poly_series(*s, head=poly_coeffs(s[1]).filter(lambda c: not is_zero(c))))))
+def test_poly_series_exp_equals_power_sum(fg):
+    f, g = fg
+    out = f.exp().coeffs
+    check_coeffs(out, ref_exp(f))
+    assert out[0] == 1 and type(out[0]) is int
+    assert all(type(v) is F for v in scalars(out[1:]) if v != 0)
+    with pytest.raises(RingDomainError, match="zero constant term"):
+        g.exp()
+
+
 def test_poly_series_kernels_cancel_like_a_term_by_term_sum():
     x = MPoly.var("x")
     # a product coefficient that an MPoly entered stays MPoly() when it cancels
@@ -554,6 +589,23 @@ def test_stream_inverse_and_exp_need_windows_with_z0():
     f = x.const(2, 1) + x.const(2, 1).zshift(1)
     with pytest.raises(RingDomainError, match="unit z\\^0"):
         f.invert(0, 3).slice(0)
+
+
+def test_stream_inverse_and_exp_on_an_unbounded_window():
+    # the window of TSeries.invert and exp: slice 0 must be a scalar for the
+    # inverse and zero for the exponential, else the sums would not end
+    T = 2
+    one = ZStream.unknown(T).const(T, 1)
+    g = one.zshift(-1).tshift(1)            # z^-1 t
+    assert (one + g).invert(None, None).value() == ZLaurent(T, {
+        0: ts(1, 0, 0), -1: ts(0, -1, 0), -2: ts(0, 0, 1)})
+    assert g.exp(None, None).value() == ZLaurent(T, {
+        0: ts(1, 0, 0), -1: ts(0, 1, 0), -2: ts(0, 0, F(1, 2))})
+    f = one + one.zshift(-1)
+    with pytest.raises(RingDomainError, match="scalar slice 0"):
+        f.invert(None, None).slice(0)
+    with pytest.raises(RingDomainError, match="did not terminate"):
+        f.exp(None, None).slice(0)
 
 
 def test_tshift_past_the_order_is_zero():

@@ -259,6 +259,22 @@ def test_Z_by_lagrange_inversion_equals_fixed_point(params):
     assert repr(compute_Z(sd)) == repr(z_by_fixed_point(sd))
 
 
+def test_compute_Z_raises_when_Z_is_no_fixed_point(monkeypatch):
+    # Lagrange inversion reads Phi through _stream and the check evaluates
+    # the blocks at Z: a Phi off by t^T makes Z wrong at t^T, so the check
+    # must raise
+    import wht.spectral as spectral
+    stream = spectral._stream
+
+    def perturbed(phi):
+        T = phi.order
+        return stream(phi + ZLaurent(T, {0: TSeries.t_power(T, T)}))
+    monkeypatch.setattr(spectral, "_stream", perturbed)
+    for params in (replace(EXP_11, T=4), _concordance_params(1, 0, 4)):
+        with pytest.raises(RingDomainError, match="fixed point"):
+            compute_Z(solve_system(params))
+
+
 def test_Z_of_bulk_model_powers_the_multiplicity():
     # one color of multiplicity 10**6: a loop over the multiplicity would not
     # finish; binary powering takes about 20 products
