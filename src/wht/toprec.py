@@ -365,11 +365,15 @@ class OmegaSet:
             hit = self._expanded[(g, n)] = (tensor, poles, src, coeff[src], {})
         return hit[1:]
 
-    def evaluate(self, g: int, n: int, zs, with_condition: bool = False):
+    def evaluate(self, g: int, n: int, zs, with_condition: bool = False,
+                 tables=None):
         """Value of the correlator at a point, or at arrays of points of one
         shape; optionally also the ratio of absolute term sum to the value
         (pole sums cancel heavily at small z, and the value is meaningless
-        once ratio * machine epsilon exceeds the tolerance)."""
+        once ratio * machine epsilon exceeds the tolerance).  `tables`, if
+        given, holds the `_pole_powers` table of each point to an order at
+        least this correlator's, so that calls at the same points share
+        them."""
         if (g, n) == (0, 2):
             val = 1.0 / (zs[0] - zs[1]) ** 2
             return (val, 1.0) if with_condition else val
@@ -379,15 +383,14 @@ class OmegaSet:
         width = len(bps) * kmax
         index = poles[..., 0] * kmax + poles[..., 1] - 1     # (entry, slot)
 
-        def powers(z):
-            # (z - b_j)^k for every branchpoint j and order k <= kmax
-            z = np.asarray(z)[..., None, None]
-            return ((z - bps[:, None]) ** np.arange(1, kmax + 1)).reshape(
-                z.shape[:-2] + (width,))
+        def powers(s):
+            table = tables[s] if tables else _pole_powers(zs[s], bps, kmax)
+            table = table[..., :kmax]
+            return table.reshape(table.shape[:-2] + (width,))
         arrays = [s for s, z in enumerate(zs) if np.ndim(z)]
-        for s, z in enumerate(zs):
+        for s in range(len(zs)):
             if s not in arrays:
-                terms = terms / powers(z)[index[:, s]]
+                terms = terms / powers(s)[index[:, s]]
         mag = np.abs(terms) if with_condition else None
         if arrays:
             # entries with equal poles at every array point share their
@@ -403,7 +406,7 @@ class OmegaSet:
             terms = gsum(terms.real) + 1j * gsum(terms.imag)
             mag = gsum(mag) if with_condition else None
             for s, pl in zip(arrays, place):
-                p = 1.0 / np.take(powers(zs[s]), keys // pl % width, axis=-1)
+                p = 1.0 / np.take(powers(s), keys // pl % width, axis=-1)
                 terms = terms * p
                 mag = mag * np.abs(p) if with_condition else None
         total = terms.sum(axis=-1)
@@ -412,8 +415,7 @@ class OmegaSet:
         return total
 
     def max_pole_order(self, g: int, n: int) -> int:
-        return max((max(k for _, k in midx)
-                    for midx in self.tensors[(g, n)]), default=0)
+        return int(self._expansion(g, n)[0][..., 1].max(initial=0))
 
     def min_pole_order(self, g: int, n: int) -> int:
         return min((min(k for _, k in midx)
@@ -429,6 +431,12 @@ class OmegaSet:
                 {"multi_index": midx, "coeff": [vals[e].real, vals[e].imag]}
                 for midx, e in sorted(zip(poles.tolist(), src.tolist()))]
         return out
+
+
+def _pole_powers(z, bps, kmax: int):
+    """(z - b_j)^k for every branchpoint j and order k <= kmax, with the
+    shape of z followed by (branchpoint, order)."""
+    return (np.asarray(z)[..., None, None] - bps[:, None]) ** np.arange(1, kmax + 1)
 
 
 def _coo(tensor: dict, n: int):
@@ -821,6 +829,54 @@ def _symmetrize(first, spect, vals, rho, kc):
 # quadrature double-check and oracle comparison
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniforms(seed: int):
+    """The stream of numpy's `default_rng(seed).random()`, bit for bit, in
+    pure Python: sample points are drawn without loading numpy's random
+    module (about 6 MB resident, the largest allocation of `wht tr`).  The
+    seed is hashed into four 64-bit words as by numpy's `SeedSequence`,
+    which seed a PCG64 generator (XSL-RR output); a draw is the top 53 bits
+    of an output over 2^53."""
+    if not isinstance(seed, int) or not 0 <= seed < 1 << 32:
+        raise RingUsageError(f"sample seed must be an int in [0, 2^32), not {seed!r}")
+    # SeedSequence: hash the entropy [seed] into a pool of four 32-bit words
+    const = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal const
+        v ^= const
+        const = const * 0x931E8875 & _M32
+        v = v * const & _M32
+        return v ^ v >> 16
+    pool = [hashmix(seed)] + [hashmix(0) for _ in range(3)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src]) & _M32
+                pool[dst] = v ^ v >> 16
+    # its generate_state(4, uint64): the seed and the increment of PCG64
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        v = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        v = v * const & _M32
+        words.append(v ^ v >> 16)
+    w = [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
+
+    def draws(state):
+        while True:
+            state = (state * _PCG_MULT + inc) & _M128
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & _M64
+            yield (x >> 11) * 2.0 ** -53
+    return draws(state)
+
+
 def residue_quadrature_check(omega: OmegaSet, locs, g, n, n_points: int = 400):
     """Contour-trapezoid recomputation of the recursion step (g, n) at sample
     spectator points, against the pole-coefficient result.  The bracket is
@@ -829,11 +885,20 @@ def residue_quadrature_check(omega: OmegaSet, locs, g, n, n_points: int = 400):
     and the kernel denominator enter, not its pole expansions."""
     curve = omega.curve
     bps = curve.branchpoints
-    rng = np.random.default_rng(7)
+    uniform = _uniforms(7)
     scale = max(abs(b) for b in bps)
-    zs = [scale * (2.5 + 0.5 * k) * np.exp(2j * np.pi * rng.random())
+    zs = [scale * (2.5 + 0.5 * k) * np.exp(2j * np.pi * next(uniform))
           for k in range(n)]
     thetas = np.linspace(0, 2 * np.pi, n_points, endpoint=False)
+    # (z - b_j)^k tables to the highest pole order the bracket reads: of the
+    # spectators once, of z and sigma(z) once per circle
+    kmax = max([1] + [omega.max_pole_order(*gn) for term in _bracket_terms(g, n)
+                      if term != "w02" for gn in term[1:] if gn in omega.tensors])
+    bp = np.asarray(bps)
+
+    def table(x):
+        return _pole_powers(x, bp, kmax)
+    spect = [table(x) for x in zs[1:]]
     worst = 0.0
     for radii_scale in (0.05, 0.08):
         total = 0j
@@ -843,18 +908,22 @@ def residue_quadrature_check(omega: OmegaSet, locs, g, n, n_points: int = 400):
             w = rho * np.exp(1j * thetas)
             z = loc.b + w
             sig = loc.b + horner(loc.s, w)
+            tz, ts = table(z), table(sig)
             br = 0j
             for term in _bracket_terms(g, n):
                 if term == "w02":
                     br = br + 1.0 / (z - sig) ** 2
                 elif term[0] == "lower":
-                    br = br + omega.evaluate(*term[1], [z, sig, *zs[1:]])
+                    br = br + omega.evaluate(*term[1], [z, sig, *zs[1:]],
+                                             tables=[tz, ts, *spect])
                 else:
                     _, gn1, gn2 = term
                     for C in combinations(range(n - 1), gn1[1] - 1):
                         Cp = [x for x in range(n - 1) if x not in C]
-                        br = br + (omega.evaluate(*gn1, [z] + [zs[1 + c] for c in C])
-                                   * omega.evaluate(*gn2, [sig] + [zs[1 + c] for c in Cp]))
+                        br = br + (omega.evaluate(*gn1, [z] + [zs[1 + c] for c in C],
+                                                  tables=[tz] + [spect[c] for c in C])
+                                   * omega.evaluate(*gn2, [sig] + [zs[1 + c] for c in Cp],
+                                                    tables=[ts] + [spect[c] for c in Cp]))
             K = _kernel_value(curve, loc, zs[0], z, sig)
             # (1 / 2 pi i) * sum over the circle of K * bracket * s' dz
             total += np.sum(K * br * horner(loc.sp, w) * w) / n_points

@@ -25,7 +25,7 @@ from .spectral import (
     assemble_curve, compute_Z, critical_t, insertion_identity_sides,
     solve_bulk_approximation, solve_system, w01, w02,
 )
-from .toprec import compare_oracle, instantiate_curve, tr_compute
+from .toprec import _uniforms, compare_oracle, instantiate_curve, tr_compute
 
 F = Fraction
 
@@ -247,8 +247,12 @@ def tr_oracle_depth(params: ModelParams, d_max: int) -> int:
 
 
 def tr_sample_points(n, count=5, seed=3):
-    rng = np.random.default_rng(seed)
-    return [tuple((2 + 6 * rng.random()) * np.exp(2j * np.pi * rng.random())
+    """`count` tuples of n points z = r e^(2 pi i a), r = 2 + 6u and a = u'
+    for consecutive draws u, u' of `toprec._uniforms(seed)`: the stream of
+    numpy's `default_rng(seed).random()`, seed 3 by default, so the
+    points are those every earlier `wht tr` and `verify.json` used."""
+    uniform = _uniforms(seed)
+    return [tuple((2 + 6 * next(uniform)) * np.exp(2j * np.pi * next(uniform))
                   for _ in range(n)) for _ in range(count)]
 
 

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import wht
 from wht import cli
 from wht.config import ConfigError, dump_config, load_config, parse_config
 from wht.model import ModelParams
@@ -20,6 +24,17 @@ BASE_CFG = {
     "toprec": {"t_value": [0.001, 0.0], "g_max": 1, "n_max": 3, "tol": 1e-6},
     "tasks": ["critical-values"],
     "output": {"formats": ["json", "csv"]},
+}
+
+
+# the minimal configuration of the README
+README_CFG = {
+    "model": {"m": 1, "r": 0, "u": ["1/2"], "p": ["1/6", "1/10"],
+              "q": ["1/5", "1/8"], "T": 6},
+    "oracle": {"d_max": 6, "connected": False, "run_max": 6},
+    "toprec": {"t_value": [0.001, 0.0], "g_max": 1, "n_max": 3, "tol": 1e-6},
+    "tasks": ["oracle-vs-schur", "disk", "cylinder", "tr-vs-oracle"],
+    "output": {"dir": "out", "formats": ["json", "csv"]},
 }
 
 
@@ -265,6 +280,27 @@ def test_tr_output_is_byte_identical(tmp_path):
     first = omega_json.read_bytes()
     assert cli.main(["tr", "--config", path]) == 0
     assert omega_json.read_bytes() == first
+
+
+def test_tr_and_verify_do_not_load_numpy_random(tmp_path):
+    # the sample points come from a pure-Python stream: `wht tr` and `wht
+    # verify` load `numpy.random` (about 6 MB resident) only where a bare
+    # `import numpy` already does, as numpy 1.x does
+    data = dict(README_CFG, output={"dir": str(tmp_path / "out"),
+                                    "formats": ["json", "csv"]})
+    path = write_cfg(tmp_path, data)
+    src = str(Path(wht.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", code + "; import sys; "
+                              "print('numpy.random' in sys.modules)"],
+                             env=env, capture_output=True, text=True, check=True)
+        return out.stdout.split()[-1]
+    commands = loaded("from wht import cli; assert [cli.main([c, '--config', "
+                      f"{path!r}]) for c in ('tr', 'verify')] == [0, 0]")
+    assert commands == loaded("import numpy")
 
 
 def test_curve_export_exponential_blocks(tmp_path):

@@ -14,8 +14,9 @@ from wht.ring import RingUsageError
 from wht.spectral import initial_ramification, solve_system
 from wht.toprec import (
     alpha0_curve, compare_oracle, instantiate_curve, local_data, tr_compute,
-    _coo, _group_rows, _kernel_value, _orderings,
+    _coo, _group_rows, _kernel_value, _orderings, _pole_powers, _uniforms,
 )
+from wht.verify import tr_sample_points
 
 
 GENERIC_10 = ModelParams.make(1, 0, u=[F(1, 2)], p=[F(1, 6), F(1, 10)],
@@ -261,6 +262,44 @@ def test_evaluate_equals_the_term_loop(curve10):
         arrays = [z * np.exp(0.3j * rng.random(50)) for z in zs[:2]] + zs[2:]
         ref, mag = loop_evaluate(omega, g, n, arrays)
         assert np.all(np.abs(omega.evaluate(g, n, arrays) - ref) <= 8 * 2.3e-16 * mag)
+
+
+def test_evaluate_with_shared_tables_is_bit_identical(curve10):
+    # tables built to a higher order than the correlator's, as the
+    # quadrature check shares them, give the values of tables built per call
+    omega = tr_compute(curve10, 2, 3)
+    bps = np.asarray(curve10.branchpoints)
+    circle = bps[0] + 0.05 * abs(bps[0]) * np.exp(np.linspace(0, 2j * np.pi, 40))
+    for (g, n) in omega.tensors:
+        zs = [circle, bps[0] + (circle - bps[0]) ** 2 / abs(bps[0])]
+        zs = (zs + [3.0 * b * 1j ** k for k, b in enumerate(bps)] * n)[:n]
+        tables = [_pole_powers(z, bps, omega.max_pole_order(g, n) + 3) for z in zs]
+        for cond in (False, True):
+            a = omega.evaluate(g, n, zs, with_condition=cond)
+            b = omega.evaluate(g, n, zs, with_condition=cond, tables=tables)
+            assert all(np.array_equal(x, y) for x, y in zip(np.atleast_1d(a), np.atleast_1d(b)))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 17, 2 ** 32 - 1])
+def test_uniforms_are_numpy_default_rng(seed):
+    rng = np.random.default_rng(seed)
+    uniform = _uniforms(seed)
+    assert [next(uniform) for _ in range(200)] == [rng.random() for _ in range(200)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 32, 1.5])
+def test_uniforms_reject_seeds_outside_32_bits(seed):
+    with pytest.raises(RingUsageError):
+        _uniforms(seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sample_points_are_the_numpy_points(n):
+    # the formula every earlier `wht tr` and `verify.json` drew its points by
+    rng = np.random.default_rng(3)
+    old = [tuple((2 + 6 * rng.random()) * np.exp(2j * np.pi * rng.random())
+                 for _ in range(n)) for _ in range(5)]
+    assert tr_sample_points(n) == old
 
 
 def test_universal_three_point_coefficient(curve10, omega10):
