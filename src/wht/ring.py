@@ -13,27 +13,34 @@ containers are immutable after construction and every operation is a pure
 function, so independent computations can safely run in parallel.
 
 Every product-sum runs on integers.  A kernel brings each operand to integer
-numerators over one common denominator (``_common``), accumulates integer
-products, and builds one ``Fraction`` per output coefficient instead of one
-per term product.  There are two kernels:
+numerators over one common denominator, accumulates integer products, and
+builds one ``Fraction`` per output coefficient instead of one per term
+product.  There are two kernels:
 
-* ``MPoly.__mul__`` accumulates ``{monomial: int}`` for one pair;
+* ``MPoly.__mul__`` accumulates ``{monomial: int}`` for one pair (``_common``);
 * every series runs on slices: a slice is one row of (exponent code,
   numerator) pairs over one denominator, and each product, inverse or
   exponential slice is one accumulation over the slices below it
   (``_products``).  ``ZStream`` computes a Laurent block one t^k slice at a
-  time, the codes being z-exponents, and ``ZLaurent``'s products, powers,
-  inverses and exponentials run on it; ``TSeries`` codes each coefficient
-  as one slice of monomial codes (``_Terms``), which add under products as
-  z-exponents do.
+  time, the codes being z-exponents; ``TSeries`` codes each coefficient as
+  one slice of monomial codes, which add under products as z-exponents do.
+
+Slices are the one stored form of a series.  A ``TSeries`` keeps its
+coefficients coded (``_Code``), and every operation on it reads and returns
+that code; a ``ZLaurent`` that a kernel returned keeps the slices of its
+block, which its next kernel call reads as they are.  Decoding to int,
+Fraction and MPoly happens once per object, on the first read of
+``coeffs``, and coding once, on the first operation on a series built from
+coefficients.  The decoded values, their types and the order of MPoly terms
+and of z-exponents are those of the same arithmetic done term by term:
 
 An output coefficient is an ``int`` when no operand holds a ``Fraction``,
 and a scalar zero is the int 0; ``invert`` and ``exp`` return Fractions,
-but for the int 1 at t^0 of ``exp``.  A block coefficient is an ``int``
-when its whole t^k slice is integral.  As in a term-by-term sum, a series
-coefficient is an MPoly when an MPoly entered it: a cancelled product or
-exponential coefficient is ``MPoly()``, a cancelled coefficient of an
-inverse the int 0.
+but for the int 1 at t^0 of ``exp``.  A sum is a Fraction where a summand
+is one.  A block coefficient is an ``int`` when its whole t^k slice is
+integral.  As in a term-by-term sum, a series coefficient is an MPoly when
+an MPoly entered it: a cancelled product or exponential coefficient is
+``MPoly()``, a cancelled coefficient of an inverse the int 0.
 """
 
 from __future__ import annotations
@@ -311,9 +318,10 @@ class MPoly:
 
 class _Slice:
     """One coefficient of a series in integer form: `row` lists the (exponent
-    code, numerator) pairs of its nonzero terms over one denominator den > 0.
-    A `ZStream` slice codes z-exponents, a `TSeries` coefficient monomials
-    (`_Terms`)."""
+    code, numerator) pairs of its nonzero terms over one denominator den > 0,
+    in the order of the terms.  A Laurent block's slice k is its t^k
+    coefficient, coded by z-exponents; a `TSeries` coefficient is coded by
+    monomial codes (`_mono_code`).  Slices are never changed once made."""
 
     __slots__ = ("row", "den")
 
@@ -362,6 +370,8 @@ def _products(pairs, lo, hi, den: int = 1) -> _Slice:
 
 
 def _add(x: _Slice, y: _Slice) -> _Slice:
+    """x + y: the codes of x, then those of y not in x; a cancelled code
+    leaves the row."""
     if not y.row:
         return x
     if not x.row:
@@ -374,74 +384,17 @@ def _add(x: _Slice, y: _Slice) -> _Slice:
     return _Slice([(e, n) for e, n in acc.items() if n], L)
 
 
-_DIGIT = (1 << 64) - 1        # one exponent place of a monomial code
+def _negated(x: _Slice) -> _Slice:
+    return _Slice([(e, -n) for e, n in x.row], x.den) if x.row else x
 
 
-class _Terms(dict):
-    """Series coefficients as slices within one `TSeries` kernel call, and
-    the map from monomial codes back to monomials.
-
-    A monomial is coded as the integer sum of e * 2^(64 k) over its
-    variables, where k is the place of the variable's name among all names
-    of the call in sorted order; any exponent below 2^63 in size decodes
-    uniquely, and the code of a product of monomials is the sum of their
-    codes, so the slice kernel multiplies coefficients as it multiplies
-    Laurent blocks in z.  A code is decoded once, on first look-up.
-    """
-
-    __slots__ = ("names", "weight")
-
-    def __init__(self, cs):
-        """`cs`: every coefficient the call reads, to fix the names."""
-        super().__init__()
-        self.names = sorted({n for c in cs if type(c) is MPoly
-                             for m in c.terms for n, _ in m})
-        self.weight = {n: 1 << (64 * k) for k, n in enumerate(self.names)}
-
-    def slices(self, cs):
-        """(slices, D, frac, polys): c_i is slices[i] / D, each slice over
-        denominator 1; frac tells whether any term is a Fraction and polys[i]
-        whether c_i is an MPoly."""
-        polys = [type(c) is MPoly for c in cs]
-        terms = [c.terms if p else ({(): c} if c else {}) for c, p in zip(cs, polys)]
-        values = [v for t in terms for v in t.values()]
-        r = _common(values)
-        if r is None:
-            _reject(values)
-        nums, D, frac = r
-        w = self.weight
-        codes = {m: sum(e * w[n] for n, e in m) for m in {m for t in terms for m in t}}
-        self.update(zip(codes.values(), codes))
-        it = iter(nums)
-        return [_Slice([(codes[m], next(it)) for m in t], 1) for t in terms], D, frac, polys
-
-    def block(self, cs):
-        """(block, polys): the series of the coefficients cs as a `ZStream` of
-        known slices, and whether each c_i is an MPoly."""
-        xs, D, _, polys = self.slices(cs)
-        return ZStream(len(cs) - 1, slices=[_Slice(x.row, D) for x in xs]), polys
-
-    def __missing__(self, code: int) -> tuple:
-        """The monomial whose code is `code`, as a sorted tuple of (name,
-        exponent) pairs."""
-        key, mono = code, []
-        for name in self.names:
-            e = code & _DIGIT
-            if e > _DIGIT >> 1:
-                e -= _DIGIT + 1
-            code = (code - e) >> 64
-            if e:
-                mono.append((name, e))
-        self[key] = m = tuple(mono)
-        return m
-
-    def coeff(self, sl: _Slice, frac: bool, poly: bool):
-        """The coefficient that the slice sl codes: an MPoly when `poly`,
-        else a scalar, its terms Fractions when `frac`."""
-        D = sl.den
-        if poly:
-            return MPoly({self[p]: Fraction(n, D) if frac else n for p, n in sl.row})
-        return _rational(sum(n for _, n in sl.row), D, frac)
+def _joined(entries) -> _Slice:
+    """The slice of the (code, numerator, denominator) entries."""
+    D = 1
+    for _, _, d in entries:
+        if D % d:
+            D = lcm(D, d)
+    return _Slice([(e, n * (D // d)) for e, n, d in entries], D)
 
 
 def _reject(values):
@@ -451,14 +404,177 @@ def _reject(values):
 
 
 # ---------------------------------------------------------------------------
+# series coefficients in coded form
+#
+# A series over the sorted variable names `names` codes the monomial with
+# exponent e_k at names[k] as the integer sum of e_k * 2^(64 k); any exponent
+# below 2^63 in size decodes uniquely, and the code of a product of monomials
+# is the sum of their codes, so the slice kernel multiplies coefficients as it
+# multiplies Laurent blocks in z.  A scalar is coded as the constant monomial,
+# code 0, in any names.  Each coefficient also carries the kind of value it
+# decodes to: bit 1 says MPoly, bit 0 that its terms (or the scalar) are
+# Fractions.  An MPoly whose terms mix int and Fraction has kind _POLY and
+# the codes of its Fraction terms in the series' `fracs` map.
+
+_INT, _FRAC, _POLY, _PFRAC = 0, 1, 2, 3
+_DIGIT = (1 << 64) - 1        # one exponent place of a monomial code
+
+
+def _mono_code(m, weight) -> int:
+    return sum(e * weight[n] for n, e in m)
+
+
+def _weights(names) -> dict:
+    return {n: 1 << (64 * k) for k, n in enumerate(names)}
+
+
+def _monomial(code: int, names) -> tuple:
+    """The monomial whose code is `code`, as a sorted tuple of (name,
+    exponent) pairs."""
+    mono = []
+    for name in names:
+        e = code & _DIGIT
+        if e > _DIGIT >> 1:
+            e -= _DIGIT + 1
+        code = (code - e) >> 64
+        if e:
+            mono.append((name, e))
+    return tuple(mono)
+
+
+class _Code:
+    """A series in coded form: per coefficient a slice and a kind, the names
+    of its monomial codes, and {index: codes of the Fraction terms} for the
+    MPoly coefficients whose terms mix int and Fraction."""
+
+    __slots__ = ("names", "slices", "kinds", "fracs")
+
+    def __init__(self, names, slices, kinds, fracs):
+        self.names, self.slices, self.kinds, self.fracs = names, slices, kinds, fracs
+
+    def has_frac(self) -> bool:
+        """Whether any nonzero coefficient holds a Fraction."""
+        return any(x.row and (k & 1 or i in self.fracs)
+                   for i, (x, k) in enumerate(zip(self.slices, self.kinds)))
+
+    def fracs_of(self, i: int):
+        """The Fraction terms of coefficient i: True (all), False (none) or
+        the set of their codes."""
+        k = self.kinds[i]
+        return True if k & 1 else self.fracs.get(i, False)
+
+    def in_names(self, names) -> "_Code":
+        """This code over the names `names`, a superset of its own."""
+        if not self.names:
+            return _Code(names, self.slices, self.kinds, self.fracs)
+        w, old, new = _weights(names), self.names, {}
+        for x in self.slices:
+            for c, _ in x.row:
+                if c not in new:
+                    new[c] = _mono_code(_monomial(c, old), w)
+        return _Code(names, [_Slice([(new[c], n) for c, n in x.row], x.den)
+                             for x in self.slices], self.kinds,
+                     {i: frozenset(new[c] for c in s) for i, s in self.fracs.items()})
+
+
+def _encode(cs) -> _Code:
+    names = tuple(sorted({n for c in cs if type(c) is MPoly
+                          for m in c.terms for n, _ in m}))
+    w = _weights(names)
+    slices, kinds, fracs = [], [], {}
+    for i, c in enumerate(cs):
+        t = type(c)
+        if t is int:
+            slices.append(_Slice([(0, c)], 1) if c else _EMPTY)
+            kinds.append(_INT)
+        elif t is Fraction:
+            slices.append(_Slice([(0, c.numerator)], c.denominator) if c else _EMPTY)
+            kinds.append(_FRAC)
+        elif t is MPoly:
+            values = list(c.terms.values())
+            r = _common(values)
+            if r is None:
+                _reject(values)
+            nums, D, frac = r
+            codes = [_mono_code(m, w) for m in c.terms]
+            slices.append(_Slice(list(zip(codes, nums)), D))
+            fr = [e for e, v in zip(codes, values) if type(v) is Fraction]
+            kinds.append(_PFRAC if frac and len(fr) == len(codes) else _POLY)
+            if fr and len(fr) < len(codes):
+                fracs[i] = frozenset(fr)
+        else:
+            _reject([c])
+    return _Code(names, slices, kinds, fracs)
+
+
+def _decode(code: _Code) -> tuple:
+    names, monos, out = code.names, {}, []
+    for i, (x, k) in enumerate(zip(code.slices, code.kinds)):
+        D = x.den
+        if not k & 2:
+            n = x.row[0][1] if x.row else 0
+            out.append(Fraction(n, D) if k else n // D)
+            continue
+        fr = code.fracs.get(i, ())
+        terms = {}
+        for c, n in x.row:
+            m = monos.get(c)
+            if m is None:
+                m = monos[c] = _monomial(c, names)
+            terms[m] = Fraction(n, D) if k & 1 or c in fr else n // D
+        out.append(MPoly(terms))
+    return tuple(out)
+
+
+def _aligned(a: "TSeries", b: "TSeries"):
+    """The codes of a and b over one set of names."""
+    ca, cb = a.code(), b.code()
+    if ca.names == cb.names:
+        return ca, cb
+    if not cb.names:
+        return ca, cb.in_names(ca.names)
+    if not ca.names:
+        return ca.in_names(cb.names), cb
+    names = tuple(sorted({*ca.names, *cb.names}))
+    return ca.in_names(names), cb.in_names(names)
+
+
+def _sum_kind(x, fx, y, fy, s: _Slice):
+    """(kind, Fraction codes or None) of the MPoly sum s = x + y of slices
+    whose Fraction terms are fx and fy (True, False or a set of codes): as in
+    MPoly.__add__, a term is a Fraction when a summand's term is one."""
+    if not s.row or fx is False and fy is False:
+        return _POLY, None
+    if fx is True and fy is True:
+        return _PFRAC, None
+    fr = set()
+    for f, z in ((fx, x), (fy, y)):
+        if f is True:
+            fr.update(c for c, _ in z.row)
+        elif f:
+            fr.update(f)
+    fr = [c for c, _ in s.row if c in fr]
+    if len(fr) == len(s.row):
+        return _PFRAC, None
+    return _POLY, (frozenset(fr) if fr else None)
+
+
+# ---------------------------------------------------------------------------
 # truncated power series in t
 
 
 class TSeries:
     """Power series in t truncated at a fixed order T; coefficients are scalars
-    or MPoly. Two series interoperate only at equal T."""
+    or MPoly. Two series interoperate only at equal T.
 
-    __slots__ = ("order", "coeffs")
+    A series keeps its coefficients in coded form (`_Code`): products, sums,
+    scalings, shifts, inverses and exponentials read and return that form
+    alone.  A series built from coefficients codes them on its first such
+    operation; one that an operation returned decodes `coeffs` on their first
+    read, to the values, types and term order that the same arithmetic on
+    int, Fraction and MPoly coefficients gives."""
+
+    __slots__ = ("order", "_coeffs", "_code")
 
     def __init__(self, order: int, coeffs):
         if order < 0:
@@ -467,7 +583,25 @@ class TSeries:
         if len(cs) != order + 1:
             raise RingUsageError("coefficient list must have length order+1")
         self.order = order
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
+        self._code = None
+
+    @staticmethod
+    def _coded(order: int, code: _Code) -> "TSeries":
+        s = object.__new__(TSeries)
+        s.order, s._coeffs, s._code = order, None, code
+        return s
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = _decode(self._code)
+        return self._coeffs
+
+    def code(self) -> _Code:
+        if self._code is None:
+            self._code = _encode(self._coeffs)
+        return self._code
 
     @staticmethod
     def const(order: int, c) -> "TSeries":
@@ -490,27 +624,50 @@ class TSeries:
                 f"mixed truncation orders {self.order} != {other.order}")
 
     def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.coeffs)
+        if self._coeffs is not None:
+            return all(is_zero(c) for c in self._coeffs)
+        return not any(x.row for x in self._code.slices)
 
     def __eq__(self, other):
         if isinstance(other, TSeries):
             self._check(other)
-            return all(is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs))
-        return all(is_zero(c) for c in self.coeffs[1:]) and is_zero(self.coeffs[0] - other)
+        return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("TSeries is unhashable")
 
     def __add__(self, other):
+        """Sum, coefficient by coefficient as int, Fraction and MPoly add: a
+        scalar sum is a Fraction when a summand is one, zero included, and
+        an MPoly sum lists the terms of the MPoly summand (the left one of
+        two) first."""
         if not isinstance(other, TSeries):
             other = TSeries.const(self.order, other)
         self._check(other)
-        return TSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = _aligned(self, other)
+        slices, kinds, fracs = [], [], {}
+        for i, (x, ka, y, kb) in enumerate(zip(a.slices, a.kinds, b.slices, b.kinds)):
+            if not (ka | kb) & 2:
+                slices.append(_add(x, y))
+                kinds.append(ka | kb)
+                continue
+            fx, fy = a.fracs_of(i), b.fracs_of(i)
+            if not ka & 2:
+                x, y, fx, fy = y, x, fy, fx
+            s = _add(x, y)
+            k, fr = _sum_kind(x, fx, y, fy, s)
+            slices.append(s)
+            kinds.append(k)
+            if fr:
+                fracs[i] = fr
+        return TSeries._coded(self.order, _Code(a.names, slices, kinds, fracs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TSeries(self.order, [-c for c in self.coeffs])
+        c = self.code()
+        return TSeries._coded(self.order, _Code(
+            c.names, [_negated(x) for x in c.slices], c.kinds, c.fracs))
 
     def __sub__(self, other):
         if not isinstance(other, TSeries):
@@ -523,28 +680,55 @@ class TSeries:
     def __mul__(self, other):
         """Product; coefficient k is one `_products` call over the pairs
         (a_i, b_(k-i)) of nonzero coefficients, an MPoly when an MPoly is
-        among them and the int 0 when there are none."""
+        among them and the int 0 when there are none.  Its terms are
+        Fractions when a nonzero coefficient of either series holds one."""
         if not isinstance(other, TSeries):
             return self.scale(other)
         self._check(other)
-        K = _Terms(self.coeffs + other.coeffs)
-        xa, Da, fa, pa = K.slices(self.coeffs)
-        xb, Db, fb, pb = K.slices(other.coeffs)
-        D, frac = Da * Db, fa or fb
-        out = []
+        a, b = _aligned(self, other)
+        frac = _FRAC if a.has_frac() or b.has_frac() else _INT
+        xa, xb, ka, kb = a.slices, b.slices, a.kinds, b.kinds
+        slices, kinds = [], []
         for k in range(self.order + 1):
             ij = [(i, k - i) for i in range(k + 1) if xa[i].row and xb[k - i].row]
-            out.append(K.coeff(_products([(xa[i], xb[j], 1) for i, j in ij], None, None, D),
-                               frac, any(pa[i] or pb[j] for i, j in ij)) if ij else 0)
-        return TSeries(self.order, out)
+            if not ij:
+                slices.append(_EMPTY)
+                kinds.append(_INT)
+                continue
+            s = _products([(xa[i], xb[j], 1) for i, j in ij], None, None)
+            poly = _POLY if any((ka[i] | kb[j]) & 2 for i, j in ij) else _INT
+            slices.append(s)
+            kinds.append(poly | frac if s.row else poly)
+        return TSeries._coded(self.order, _Code(a.names, slices, kinds, {}))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
+        """c times every coefficient, a zero coefficient giving the int 0;
+        as in MPoly.__mul__, the terms of a product with an MPoly are all
+        Fractions when one factor term is."""
         if is_zero(c):
             return TSeries.zero(self.order)
-        return TSeries(self.order, [c * a if not is_zero(a) else 0 for a in self.coeffs])
+        t = type(c)
+        if t is MPoly:
+            return TSeries(self.order, [c * a if not is_zero(a) else 0 for a in self.coeffs])
+        if t is int:
+            cn, cd, cf = c, 1, _INT
+        elif t is Fraction:
+            cn, cd, cf = c.numerator, c.denominator, _FRAC
+        else:
+            _reject([c])
+        code = self.code()
+        slices, kinds = [], []
+        for i, (x, k) in enumerate(zip(code.slices, code.kinds)):
+            if not x.row:
+                slices.append(_EMPTY)
+                kinds.append(_INT)
+                continue
+            slices.append(_Slice([(e, n * cn) for e, n in x.row], x.den * cd))
+            kinds.append(k | cf | (_FRAC if i in code.fracs else _INT))
+        return TSeries._coded(self.order, _Code(code.names, slices, kinds, {}))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -560,56 +744,58 @@ class TSeries:
         return result
 
     def is_unit(self) -> bool:
-        c0 = self.coeffs[0]
-        if isinstance(c0, MPoly):
-            k = c0.constant_or_none()
-            return k is not None and k != 0
-        return not is_zero(c0)
+        x = self.code().slices[0]
+        return len(x.row) == 1 and x.row[0][0] == 0 and x.row[0][1] != 0
 
     def invert(self) -> "TSeries":
         """Multiplicative inverse; the t^0 coefficient must be invertible.
         Its slices are those of `ZStream.invert` on an unbounded window, and
         (1/a)_k is an MPoly when an MPoly entered a nonzero term
-        a_j (1/a)_(k-j) or a_0."""
+        a_j (1/a)_(k-j) or a_0; its terms are Fractions, and a cancelled
+        coefficient is the int 0."""
         if not self.is_unit():
             raise RingDomainError("inversion requires a unit constant term")
-        T = self.order
-        K = _Terms(self.coeffs)
-        a, ps = K.block(self.coeffs)
-        inv = a.invert(None, None)
+        T, code = self.order, self.code()
+        xs, ps = code.slices, [k & 2 for k in code.kinds]
+        inv = ZStream(T, slices=xs).invert(None, None)
         inv.slice(T)
-        xs, ys, polys = a.slices, inv.slices, [ps[0]]
+        ys, polys = inv.slices, [ps[0]]
         for k in range(1, T + 1):
-            polys.append(ps[0] or any(ps[j] or polys[k - j] for j in range(1, k + 1)
-                                      if xs[j].row and ys[k - j].row))
-        return TSeries(T, [K.coeff(y, True, p) if y.row else 0 for y, p in zip(ys, polys)])
+            polys.append(_POLY if ps[0] or any(ps[j] or polys[k - j] for j in range(1, k + 1)
+                                               if xs[j].row and ys[k - j].row) else _INT)
+        kinds = [p | _FRAC if y.row else _INT for y, p in zip(ys, polys)]
+        return TSeries._coded(T, _Code(code.names, ys, kinds, {}))
 
     def exp(self) -> "TSeries":
         """exp of a series F with zero constant term.  Its slices are those of
         `ZStream.exp` on an unbounded window, k E_k = sum_j j F_j E_(k-j);
         as in the sum of F^m / m!, E_k is an MPoly when a product
-        F_j1 ... F_jm of nonzero coefficients, j1 + ... + jm = k, holds one."""
-        if not is_zero(self.coeffs[0]):
+        F_j1 ... F_jm of nonzero coefficients, j1 + ... + jm = k, holds one.
+        E_0 is the int 1, and the terms of E_k, k >= 1, Fractions."""
+        code = self.code()
+        if code.slices[0].row:
             raise RingDomainError("exp needs zero constant term")
-        T = self.order
-        K = _Terms(self.coeffs)
-        f, ps = K.block(self.coeffs)
-        E = f.exp(None, None)
+        T, xs = self.order, code.slices
+        E = ZStream(T, slices=xs).exp(None, None)
         E.slice(T)
-        xs = f.slices
-        reach, polys = [True], [False]      # some such product; one with an MPoly
+        reach, kinds = [True], [_INT]     # some such product; the kind of E_k
         for k in range(1, T + 1):
             js = [j for j in range(1, k + 1) if xs[j].row and reach[k - j]]
             reach.append(bool(js))
-            polys.append(any(ps[j] or polys[k - j] for j in js))
-        return TSeries(T, [1] + [K.coeff(e, True, p) for e, p in zip(E.slices[1:], polys[1:])])
+            poly = any(code.kinds[j] & 2 or kinds[k - j] & 2 for j in js)
+            kinds.append((_POLY if poly else _INT) | (_FRAC if E.slices[k].row else _INT))
+        return TSeries._coded(T, _Code(code.names, [_ONE] + E.slices[1:T + 1], kinds, {}))
 
     def tshift(self, s: int) -> "TSeries":
         """Multiply by t^s (coefficients beyond T are dropped)."""
         if s < 0:
             raise RingUsageError("tshift needs s >= 0")
-        return TSeries(self.order, [0] * min(s, self.order + 1)
-                       + list(self.coeffs[: max(self.order + 1 - s, 0)]))
+        T, code = self.order, self.code()
+        n = max(T + 1 - s, 0)
+        return TSeries._coded(T, _Code(
+            code.names, [_EMPTY] * (T + 1 - n) + code.slices[:n],
+            [_INT] * (T + 1 - n) + code.kinds[:n],
+            {i + s: f for i, f in code.fracs.items() if i < n}))
 
     def map_coeffs(self, f) -> "TSeries":
         return TSeries(self.order, [f(c) for c in self.coeffs])
@@ -623,6 +809,23 @@ class TSeries:
 
     def __repr__(self):
         return "TSeries[" + ", ".join(repr(c) for c in self.coeffs) + "]"
+
+
+def _poly_series(order: int, names, cols) -> TSeries:
+    """The series whose coefficient k is the MPoly with the terms n / d at
+    the monomials prod names[i]^exps[i] of the (exps, n, d, frac) entries of
+    cols[k], in their order; a term is a Fraction when frac is true, else an
+    int (d divides n)."""
+    w = [1 << (64 * i) for i in range(len(names))]
+    slices, kinds, fracs = [], [], {}
+    for k, col in enumerate(cols):
+        codes = [sum(e * x for e, x in zip(exps, w)) for exps, _, _, _ in col]
+        slices.append(_joined([(c, n, d) for c, (_, n, d, _) in zip(codes, col)]))
+        fr = [c for c, (*_, frac) in zip(codes, col) if frac]
+        kinds.append(_PFRAC if col and len(fr) == len(col) else _POLY)
+        if fr and len(fr) < len(col):
+            fracs[k] = frozenset(fr)
+    return TSeries._coded(order, _Code(tuple(names), slices, kinds, fracs))
 
 
 def interpolate(f, name: str, nodes):
@@ -677,13 +880,18 @@ PROJECTION_MODES = ("lt", "le", "gt", "ge")
 class ZLaurent:
     """Laurent polynomial in z over truncated t-series, with explicit window.
 
-    Sums, scalings, shifts and projections act on the stored TSeries; `mul`,
-    `power`, `invert` and `exp` run the ZStream slice kernels (`_stream`).
-    The projection modes are exact coefficient filters on the z-exponent; the
+    A block holds its coefficients as {z-exponent: TSeries}, as its t^k
+    slices over z-exponent codes, or both.  `mul`, `power`, `invert` and
+    `exp` run the ZStream slice kernels (`_stream`) and return slices, which
+    `clip`, `zshift` and `tshift` keep; sums and scalings act on the stored
+    TSeries.  A block made from slices decodes `coeffs` on its first read:
+    its z-exponents in order of first appearance, and the coefficients of a
+    slice over a denominator above 1 Fractions, the others ints.  The
+    projection modes are exact coefficient filters on the z-exponent; the
     brace-style nonnegative part of a series in 1/z coincides with mode "ge".
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_coeffs", "_slices")
 
     def __init__(self, order: int, coeffs: dict | None = None):
         self.order = order
@@ -694,27 +902,71 @@ class ZLaurent:
                     if ts.order != order:
                         raise RingUsageError("ZLaurent coefficient order mismatch")
                     cs[e] = ts
-        self.coeffs = cs
+        self._coeffs = cs
+        self._slices = None
+
+    @staticmethod
+    def _made(order: int, coeffs, slices) -> "ZLaurent":
+        zl = object.__new__(ZLaurent)
+        zl.order, zl._coeffs, zl._slices = order, coeffs, slices
+        return zl
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None:
+            T, cols = self.order, {}
+            for k, sl in enumerate(self._slices):
+                kind = _FRAC if sl.den > 1 else _INT
+                for e, n in sl.row:
+                    col = cols.get(e)
+                    if col is None:
+                        col = cols[e] = ([_EMPTY] * (T + 1), [_INT] * (T + 1))
+                    col[0][k], col[1][k] = _Slice([(0, n)], sl.den), kind
+            self._coeffs = {e: TSeries._coded(T, _Code((), xs, ks, {}))
+                            for e, (xs, ks) in cols.items()}
+        return self._coeffs
+
+    def t_slices(self) -> list:
+        """The t^0..t^T slices over z-exponent codes; coefficients must be
+        int or Fraction."""
+        if self._slices is None:
+            cols = [[] for _ in range(self.order + 1)]
+            for e, ts in self._coeffs.items():
+                code = ts.code()
+                for k, (x, kind) in enumerate(zip(code.slices, code.kinds)):
+                    if kind & 2:
+                        raise RingUsageError(
+                            "Laurent block coefficients must be int or Fraction, not MPoly")
+                    if x.row:
+                        cols[k].append((e, x.row[0][1], x.den))
+            self._slices = [_joined(col) for col in cols]
+        return self._slices
 
     @staticmethod
     def const(order: int, c) -> "ZLaurent":
         return ZLaurent(order, {0: TSeries.const(order, c)})
 
     def window(self):
-        if not self.coeffs:
-            return None
-        return (min(self.coeffs), max(self.coeffs))
+        if self._coeffs is not None:
+            return (min(self._coeffs), max(self._coeffs)) if self._coeffs else None
+        es = [e for sl in self._slices for e, _ in sl.row]
+        return (min(es), max(es)) if es else None
 
     def get(self, e: int) -> TSeries:
         return self.coeffs.get(e, TSeries.zero(self.order))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        if self._coeffs is not None:
+            return not self._coeffs
+        return not any(sl.row for sl in self._slices)
 
     def __eq__(self, other):
         if not isinstance(other, ZLaurent):
             return NotImplemented
-        return (self - other).is_zero()
+        if self.order != other.order:
+            raise RingUsageError(f"mixed truncation orders {self.order} != {other.order}")
+        return all(not _add(x, _negated(y)).row
+                   for x, y in zip(self.t_slices(), other.t_slices()))
 
     def __hash__(self):
         raise TypeError("ZLaurent is unhashable")
@@ -761,27 +1013,37 @@ class ZLaurent:
         return ZLaurent(self.order, {e: ts.scale(c) for e, ts in self.coeffs.items()})
 
     def zshift(self, s: int) -> "ZLaurent":
-        return ZLaurent(self.order, {e + s: ts for e, ts in self.coeffs.items()})
+        cs, sls = self._coeffs, self._slices
+        return ZLaurent._made(
+            self.order, None if cs is None else {e + s: ts for e, ts in cs.items()},
+            None if sls is None else [_Slice([(e + s, n) for e, n in x.row], x.den)
+                                      for x in sls])
 
     def clip(self, lo=None, hi=None) -> "ZLaurent":
-        return ZLaurent(self.order, {
-            e: ts for e, ts in self.coeffs.items()
-            if (lo is None or e >= lo) and (hi is None or e <= hi)})
+        lo = -inf if lo is None else lo
+        hi = inf if hi is None else hi
+        cs, sls = self._coeffs, self._slices
+        return ZLaurent._made(
+            self.order, None if cs is None else {
+                e: ts for e, ts in cs.items() if lo <= e <= hi},
+            None if sls is None else [_Slice([(e, n) for e, n in x.row if lo <= e <= hi],
+                                             x.den) for x in sls])
 
     def project(self, mode: str) -> "ZLaurent":
         if mode not in PROJECTION_MODES:
             raise RingUsageError(f"unknown projection mode {mode!r}")
-        keep = {
-            "lt": lambda e: e < 0,
-            "le": lambda e: e <= 0,
-            "gt": lambda e: e > 0,
-            "ge": lambda e: e >= 0,
-        }[mode]
-        return ZLaurent(self.order, {e: ts for e, ts in self.coeffs.items() if keep(e)})
+        return self.clip(*{"lt": (None, -1), "le": (None, 0),
+                           "gt": (1, None), "ge": (0, None)}[mode])
 
     def tshift(self, s: int) -> "ZLaurent":
         """Multiply by t^s (coefficients beyond the order are dropped)."""
-        return ZLaurent(self.order, {e: ts.tshift(s) for e, ts in self.coeffs.items()})
+        if s < 0:
+            raise RingUsageError("tshift needs s >= 0")
+        if self._coeffs is not None:
+            return ZLaurent(self.order, {e: ts.tshift(s) for e, ts in self._coeffs.items()})
+        n = max(self.order + 1 - s, 0)
+        return ZLaurent._made(self.order, None,
+                              [_EMPTY] * (self.order + 1 - n) + self._slices[:n])
 
     def power(self, n: int, lo=None, hi=None) -> "ZLaurent":
         return _stream(self).power(n, lo, hi).value()
@@ -910,7 +1172,8 @@ class ZStream:
     z^0; on an unbounded window (a bound None), F_0 must be a scalar for
     the inverse and zero for the exponential.  Each slice accumulates as
     integers over one denominator (`_products`) and is reduced once, when
-    the block stores it.
+    the block stores it; `value` hands the stored slices to a ZLaurent,
+    which keeps them for its next kernel call.
     """
 
     __slots__ = ("order", "val", "slices", "_rule")
@@ -1033,16 +1296,10 @@ class ZStream:
         return self._derive(rule, val=0, slices=E)
 
     def value(self) -> ZLaurent:
-        """The block through its order as a ZLaurent; its z-exponents come in
-        order of first appearance, and the coefficients of a slice over
-        denominator 1 are ints."""
+        """The block through its order as a ZLaurent that keeps its slices."""
         T = self.order
         self.slice(T)
-        cols: dict = {}
-        for k, sl in enumerate(self.slices[:T + 1]):
-            for e, n in sl.row:
-                cols.setdefault(e, [0] * (T + 1))[k] = Fraction(n, sl.den) if sl.den > 1 else n
-        return ZLaurent(T, {e: TSeries(T, col) for e, col in cols.items()})
+        return ZLaurent._made(T, None, self.slices[:T + 1])
 
 
 def _check_window(lo, hi):
@@ -1051,22 +1308,7 @@ def _check_window(lo, hi):
 
 
 def _stream(zl: ZLaurent) -> ZStream:
-    """The block zl as a ZStream whose slices are all known: slice k lists
-    the z^e t^k coefficients of zl over their common denominator."""
-    T = zl.order
-    cols = [[] for _ in range(T + 1)]
-    for e, ts in zl.coeffs.items():
-        for k, c in enumerate(ts.coeffs):
-            if c:
-                cols[k].append((e, c))
-    slices = []
-    for col in cols:
-        r = _common([c for _, c in col])
-        if r is None:
-            bad = next(c for _, c in col if type(c) not in (int, Fraction))
-            raise RingUsageError(
-                f"Laurent block coefficients must be int or Fraction, not {type(bad).__name__}")
-        nums, D, _ = r
-        slices.append(_Slice([(e, n) for (e, _), n in zip(col, nums)], D))
-    val = next((k for k, sl in enumerate(slices) if sl.row), T + 1)
-    return ZStream(T, val=val, slices=slices)
+    """The block zl as a ZStream whose slices are all known."""
+    slices = zl.t_slices()
+    val = next((k for k, sl in enumerate(slices) if sl.row), zl.order + 1)
+    return ZStream(zl.order, val=val, slices=slices)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .model import ModelParams
 from .ring import (
     MPoly, TSeries, ZLaurent, RingDomainError, RingUsageError, scalar_invert,
+    _poly_series,
 )
 from .spectral import SpectralData, compute_Z
 
@@ -277,13 +278,14 @@ def w02_annular(td: TildeData, orders=None) -> TSeries:
 
 def _marked(powers, fs, shift: int, name: str, T: int) -> TSeries:
     """sum over f in fs of [z^(f + shift)] powers[f] * name^(f + 1), each
-    coefficient given its monomial directly."""
-    terms = [{} for _ in range(T + 1)]
+    coefficient given its monomial directly from its coded scalar."""
+    cols = [[] for _ in range(T + 1)]
     for f in fs:
-        for k, c in enumerate(powers[f].get(f + shift).coeffs):
-            if c:
-                terms[k][((name, f + 1),)] = c
-    return TSeries(T, [MPoly(t) if t else 0 for t in terms])
+        code = powers[f].get(f + shift).code()
+        for k, (x, kind) in enumerate(zip(code.slices, code.kinds)):
+            if x.row:
+                cols[k].append(((f + 1,), x.row[0][1], x.den, kind & 1))
+    return _poly_series(T, (name,), cols)
 
 
 def last_passage_check(td: TildeData, p_max: int, f_max: int):

@@ -47,7 +47,7 @@ from .dense import horner, s_inv, s_mul
 from .model import AssumptionViolation, ModelParams
 from .ring import (
     MPoly, TSeries, ZLaurent, ZStream, RingDomainError, RingUsageError,
-    interpolate, is_zero, scalar_invert, _stream,
+    interpolate, is_zero, scalar_invert, _poly_series, _stream,
 )
 
 __all__ = [
@@ -215,7 +215,7 @@ def compute_Z(sd: SpectralData) -> TSeries:
     if sd.params.has_exp:
         phi = phi.mul(sd.eta.scale(sd.params.u_exp).exp(0, T), 0, T)
     phi = _stream(phi)
-    terms = [{} for _ in range(T + 1)]       # [t^j] Z as {xb^n: coefficient}
+    terms = [[] for _ in range(T + 1)]       # [t^j] Z as Fraction terms of xb^n
     powers, phi_n = {}, phi
     for n in range(1, T + 2):
         if n > 1:
@@ -225,8 +225,8 @@ def compute_Z(sd: SpectralData) -> TSeries:
         for j, sl in enumerate(phi_n.slices):
             for e, num in sl.row:
                 if e == n - 1:
-                    terms[j][(("xb", n),)] = Fraction(num, sl.den * n)
-    Z = TSeries(T, [MPoly(t) for t in terms])
+                    terms[j].append(((n,), num, sl.den * n, True))
+    Z = _poly_series(T, ("xb",), terms)
     xb = TSeries.const(T, MPoly.var("xb"))
     if not (Z - _z_rhs(sd, Z, xb)).is_zero():
         raise RingDomainError("Z is not a fixed point of its defining equation")
@@ -351,7 +351,7 @@ def w02(sd: SpectralData) -> TSeries:
     compute_Z(sd)
     T, P = sd.T, sd._phi_powers
     at = {n: [dict(sl.row) for sl in P[n]] for n in range(1, T)}
-    out = [{} for _ in range(T + 1)]
+    out = [{} for _ in range(T + 1)]    # {(a, b) of xb1^a xb2^b: (numerator, denominator)}
     for A in range(1, T // 2 + 1):
         for B in range(A, T - A + 1):
             for s in range(A + B, T + 1):
@@ -371,11 +371,11 @@ def w02(sd: SpectralData) -> TSeries:
                 if not sums:
                     continue
                 L = lcm(*(d for _, d in sums))
-                c = Fraction(sum(acc * (L // d) for acc, d in sums), L)
+                c = sum(acc * (L // d) for acc, d in sums)
                 if c:
-                    out[s][(("xb1", A + 1), ("xb2", B + 1))] = c
-                    out[s][(("xb1", B + 1), ("xb2", A + 1))] = c
-    return TSeries(T, [MPoly(t) for t in out])
+                    out[s][A + 1, B + 1] = out[s][B + 1, A + 1] = (c, L)
+    return _poly_series(T, ("xb1", "xb2"), [[(ab, n, d, True) for ab, (n, d) in t.items()]
+                                             for t in out])
 
 
 # ---------------------------------------------------------------------------
