@@ -27,20 +27,25 @@ product.  There are two kernels:
 
 Slices are the one stored form of a series.  A ``TSeries`` keeps its
 coefficients coded (``_Code``), and every operation on it reads and returns
-that code; a ``ZLaurent`` that a kernel returned keeps the slices of its
-block, which its next kernel call reads as they are.  Decoding to int,
-Fraction and MPoly happens once per object, on the first read of
-``coeffs``, and coding once, on the first operation on a series built from
-coefficients.  The decoded values, their types and the order of MPoly terms
-and of z-exponents are those of the same arithmetic done term by term:
+that code; it decodes to int, Fraction and MPoly once, on the first read of
+``coeffs``, and a series built from coefficients codes them once, on its
+first operation.  A ``ZLaurent`` stores its t^0..t^T slices, each over its
+least denominator, and the order of its z-exponents, and nothing else:
+sums, scalings and shifts run on the slices as products do.  A block built
+from {z^e: TSeries} codes its columns once, in its constructor, and
+``coeffs`` and ``get`` decode on every read.  The decoded values, their
+types and the order of MPoly terms are those of the same arithmetic done
+term by term, and a block lists its z-exponents as a {z^e: series} dict
+would (``ZLaurent``):
 
 An output coefficient is an ``int`` when no operand holds a ``Fraction``,
 and a scalar zero is the int 0; ``invert`` and ``exp`` return Fractions,
 but for the int 1 at t^0 of ``exp``.  A sum is a Fraction where a summand
-is one.  A block coefficient is an ``int`` when its whole t^k slice is
-integral.  As in a term-by-term sum, a series coefficient is an MPoly when
-an MPoly entered it: a cancelled product or exponential coefficient is
-``MPoly()``, a cancelled coefficient of an inverse the int 0.
+is one.  A block coefficient is an ``int`` when its t^k slice has
+denominator 1, that is when every coefficient at t^k is an integer, and a
+Fraction otherwise.  As in a term-by-term sum, a series coefficient is an
+MPoly when an MPoly entered it: a cancelled product or exponential
+coefficient is ``MPoly()``, a cancelled coefficient of an inverse the int 0.
 """
 
 from __future__ import annotations
@@ -880,93 +885,88 @@ PROJECTION_MODES = ("lt", "le", "gt", "ge")
 class ZLaurent:
     """Laurent polynomial in z over truncated t-series, with explicit window.
 
-    A block holds its coefficients as {z-exponent: TSeries}, as its t^k
-    slices over z-exponent codes, or both.  `mul`, `power`, `invert` and
-    `exp` run the ZStream slice kernels (`_stream`) and return slices, which
-    `clip`, `zshift` and `tshift` keep; sums and scalings act on the stored
-    TSeries.  A block made from slices decodes `coeffs` on its first read:
-    its z-exponents in order of first appearance, and the coefficients of a
-    slice over a denominator above 1 Fractions, the others ints.  The
-    projection modes are exact coefficient filters on the z-exponent; the
-    brace-style nonnegative part of a series in 1/z coincides with mode "ge".
+    A block stores its t^0..t^T slices over z-exponent codes, each over its
+    least denominator, and the order of its z-exponents; nothing else.
+    Every operation that returns a block runs one `ZStream` rule on the
+    slices (`_stream`).  A block made from {z^e: TSeries} codes its columns
+    once, in the constructor, which rejects an MPoly coefficient; `coeffs`
+    and `get` decode on every read and keep nothing.  A decoded coefficient
+    is an int when its t^k slice has denominator 1, else a Fraction.  The
+    z-exponents come in the order of a {z^e: series} dict: a block made from
+    one keeps its order; a kernel result (`mul`, `power`, `invert`, `exp`)
+    lists them in order of first appearance over its slices; a sum lists the
+    left operand's, then the right's new ones; negation, scaling, clips,
+    shifts and `tshift` keep the order; an exponent whose coefficients all
+    vanish leaves it.  The projection modes are exact coefficient filters on
+    the z-exponent; the brace-style nonnegative part of a series in 1/z
+    coincides with mode "ge".
     """
 
-    __slots__ = ("order", "_coeffs", "_slices")
+    __slots__ = ("order", "_slices", "_exps")
 
     def __init__(self, order: int, coeffs: dict | None = None):
-        self.order = order
-        cs = {}
-        if coeffs:
-            for e, ts in coeffs.items():
-                if not ts.is_zero():
-                    if ts.order != order:
-                        raise RingUsageError("ZLaurent coefficient order mismatch")
-                    cs[e] = ts
-        self._coeffs = cs
-        self._slices = None
+        cols, exps = [[] for _ in range(order + 1)], []
+        for e, ts in (coeffs or {}).items():
+            if ts.is_zero():
+                continue
+            if ts.order != order:
+                raise RingUsageError("ZLaurent coefficient order mismatch")
+            code = ts.code()
+            for k, (x, kind) in enumerate(zip(code.slices, code.kinds)):
+                if kind & 2:
+                    raise RingUsageError(
+                        "Laurent block coefficients must be int or Fraction, not MPoly")
+                if x.row:
+                    cols[k].append((e, x.row[0][1], x.den))
+            exps.append(e)
+        self.order, self._slices, self._exps = order, [_joined(c) for c in cols], tuple(exps)
 
     @staticmethod
-    def _made(order: int, coeffs, slices) -> "ZLaurent":
+    def _made(order: int, slices, exps=None) -> "ZLaurent":
+        """The block of the reduced `slices`; its z-exponents are those of
+        `exps` that it holds, in that order, or with exps None in order of
+        first appearance."""
+        held = dict.fromkeys(e for sl in slices for e, _ in sl.row)
         zl = object.__new__(ZLaurent)
-        zl.order, zl._coeffs, zl._slices = order, coeffs, slices
+        zl.order, zl._slices = order, slices
+        zl._exps = tuple(held if exps is None else (e for e in dict.fromkeys(exps) if e in held))
         return zl
+
+    def _columns(self, exps) -> dict:
+        """{e: the t-series of z^e} for the z-exponents `exps`."""
+        T = self.order
+        cols = {e: ([_EMPTY] * (T + 1), [_INT] * (T + 1)) for e in exps}
+        for k, sl in enumerate(self._slices):
+            kind = _FRAC if sl.den > 1 else _INT
+            for e, n in sl.row:
+                col = cols.get(e)
+                if col is not None:
+                    col[0][k], col[1][k] = _Slice([(0, n)], sl.den), kind
+        return {e: TSeries._coded(T, _Code((), xs, ks, {})) for e, (xs, ks) in cols.items()}
 
     @property
     def coeffs(self) -> dict:
-        if self._coeffs is None:
-            T, cols = self.order, {}
-            for k, sl in enumerate(self._slices):
-                kind = _FRAC if sl.den > 1 else _INT
-                for e, n in sl.row:
-                    col = cols.get(e)
-                    if col is None:
-                        col = cols[e] = ([_EMPTY] * (T + 1), [_INT] * (T + 1))
-                    col[0][k], col[1][k] = _Slice([(0, n)], sl.den), kind
-            self._coeffs = {e: TSeries._coded(T, _Code((), xs, ks, {}))
-                            for e, (xs, ks) in cols.items()}
-        return self._coeffs
+        return self._columns(self._exps)
 
-    def t_slices(self) -> list:
-        """The t^0..t^T slices over z-exponent codes; coefficients must be
-        int or Fraction."""
-        if self._slices is None:
-            cols = [[] for _ in range(self.order + 1)]
-            for e, ts in self._coeffs.items():
-                code = ts.code()
-                for k, (x, kind) in enumerate(zip(code.slices, code.kinds)):
-                    if kind & 2:
-                        raise RingUsageError(
-                            "Laurent block coefficients must be int or Fraction, not MPoly")
-                    if x.row:
-                        cols[k].append((e, x.row[0][1], x.den))
-            self._slices = [_joined(col) for col in cols]
-        return self._slices
+    def get(self, e: int) -> TSeries:
+        return self._columns((e,))[e]
 
     @staticmethod
     def const(order: int, c) -> "ZLaurent":
         return ZLaurent(order, {0: TSeries.const(order, c)})
 
     def window(self):
-        if self._coeffs is not None:
-            return (min(self._coeffs), max(self._coeffs)) if self._coeffs else None
-        es = [e for sl in self._slices for e, _ in sl.row]
-        return (min(es), max(es)) if es else None
-
-    def get(self, e: int) -> TSeries:
-        return self.coeffs.get(e, TSeries.zero(self.order))
+        return (min(self._exps), max(self._exps)) if self._exps else None
 
     def is_zero(self) -> bool:
-        if self._coeffs is not None:
-            return not self._coeffs
-        return not any(sl.row for sl in self._slices)
+        return not self._exps
 
     def __eq__(self, other):
         if not isinstance(other, ZLaurent):
             return NotImplemented
         if self.order != other.order:
             raise RingUsageError(f"mixed truncation orders {self.order} != {other.order}")
-        return all(not _add(x, _negated(y)).row
-                   for x, y in zip(self.t_slices(), other.t_slices()))
+        return all(not _add(x, _negated(y)).row for x, y in zip(self._slices, other._slices))
 
     def __hash__(self):
         raise TypeError("ZLaurent is unhashable")
@@ -974,16 +974,12 @@ class ZLaurent:
     def __add__(self, other):
         if not isinstance(other, ZLaurent):
             other = ZLaurent.const(self.order, other)
-        out = dict(self.coeffs)
-        for e, ts in other.coeffs.items():
-            s = out.get(e)
-            out[e] = ts if s is None else s + ts
-        return ZLaurent(self.order, out)
+        return (_stream(self) + _stream(other)).value(self._exps + other._exps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ZLaurent(self.order, {e: -ts for e, ts in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, ZLaurent):
@@ -1008,26 +1004,14 @@ class ZLaurent:
         return self.scale(other)
 
     def scale(self, c) -> "ZLaurent":
-        if isinstance(c, TSeries):
-            return ZLaurent(self.order, {e: ts * c for e, ts in self.coeffs.items()})
-        return ZLaurent(self.order, {e: ts.scale(c) for e, ts in self.coeffs.items()})
+        """c times the block; c must be int or Fraction."""
+        return _stream(self).scale(c).value(self._exps)
 
     def zshift(self, s: int) -> "ZLaurent":
-        cs, sls = self._coeffs, self._slices
-        return ZLaurent._made(
-            self.order, None if cs is None else {e + s: ts for e, ts in cs.items()},
-            None if sls is None else [_Slice([(e + s, n) for e, n in x.row], x.den)
-                                      for x in sls])
+        return _stream(self).zshift(s).value(e + s for e in self._exps)
 
     def clip(self, lo=None, hi=None) -> "ZLaurent":
-        lo = -inf if lo is None else lo
-        hi = inf if hi is None else hi
-        cs, sls = self._coeffs, self._slices
-        return ZLaurent._made(
-            self.order, None if cs is None else {
-                e: ts for e, ts in cs.items() if lo <= e <= hi},
-            None if sls is None else [_Slice([(e, n) for e, n in x.row if lo <= e <= hi],
-                                             x.den) for x in sls])
+        return _stream(self).clip(lo, hi).value(self._exps)
 
     def project(self, mode: str) -> "ZLaurent":
         if mode not in PROJECTION_MODES:
@@ -1037,13 +1021,7 @@ class ZLaurent:
 
     def tshift(self, s: int) -> "ZLaurent":
         """Multiply by t^s (coefficients beyond the order are dropped)."""
-        if s < 0:
-            raise RingUsageError("tshift needs s >= 0")
-        if self._coeffs is not None:
-            return ZLaurent(self.order, {e: ts.tshift(s) for e, ts in self._coeffs.items()})
-        n = max(self.order + 1 - s, 0)
-        return ZLaurent._made(self.order, None,
-                              [_EMPTY] * (self.order + 1 - n) + self._slices[:n])
+        return _stream(self).tshift(s).value(self._exps)
 
     def power(self, n: int, lo=None, hi=None) -> "ZLaurent":
         return _stream(self).power(n, lo, hi).value()
@@ -1064,13 +1042,14 @@ class ZLaurent:
         if win is None:
             return out
         lo, hi = win
+        cs, zero = self.coeffs, TSeries.zero(T)
         if hi > 0:
             acc = TSeries.zero(T)
             for e in range(hi, 0, -1):
-                acc = acc + self.get(e)
+                acc = acc + cs.get(e, zero)
                 acc = acc * g
             out = out + acc
-        out = out + self.get(0)
+        out = out + cs.get(0, zero)
         if lo < 0:
             if ginv is None:
                 raise RingUsageError("negative exponents need ginv")
@@ -1078,7 +1057,7 @@ class ZLaurent:
             p = TSeries.const(T, 1)
             for k in range(1, -lo + 1):
                 p = p * ginv
-                acc = acc + p * self.get(-k)
+                acc = acc + p * cs.get(-k, zero)
             out = out + acc
         return out
 
@@ -1088,9 +1067,6 @@ class ZLaurent:
         for e, ts in self.coeffs.items():
             out[e] = complex(ts.eval_t(t))
         return out
-
-    def map_coeffs(self, f) -> "ZLaurent":
-        return ZLaurent(self.order, {e: f(ts) for e, ts in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -1158,10 +1134,10 @@ class ZStream:
 
     A block has the ZLaurent operations that the spectral system uses, each
     returning a new block, so that one statement of a system runs over
-    either type; ZLaurent's own products, powers, inverses and exponentials
-    run here, and so do TSeries inverses and exponentials, whose blocks
-    code monomials in place of z-exponents.  Its coefficients are int or
-    Fraction; an MPoly raises `RingUsageError`.  An `unknown` block receives its slices from `feed`: a
+    either type; every ZLaurent operation runs here, and so do TSeries
+    inverses and exponentials, whose blocks code monomials in place of
+    z-exponents.  Its coefficients are int or Fraction; an MPoly raises
+    `RingUsageError`.  An `unknown` block receives its slices from `feed`: a
     system X = F(X) whose right-hand side reads X only through tshift(s >= 1)
     is solved by feeding each slice of F(X) back into X.  Slice k of
     * a product is sum_j X_j Y_(k-j);
@@ -1173,7 +1149,7 @@ class ZStream:
     the inverse and zero for the exponential.  Each slice accumulates as
     integers over one denominator (`_products`) and is reduced once, when
     the block stores it; `value` hands the stored slices to a ZLaurent,
-    which keeps them for its next kernel call.
+    which keeps them as its one form.
     """
 
     __slots__ = ("order", "val", "slices", "_rule")
@@ -1295,11 +1271,12 @@ class ZStream:
             return _products([(xs[j], E[k - j], j) for j in range(1, k + 1)], lo, hi, k)
         return self._derive(rule, val=0, slices=E)
 
-    def value(self) -> ZLaurent:
-        """The block through its order as a ZLaurent that keeps its slices."""
+    def value(self, exps=None) -> ZLaurent:
+        """The block through its order as a ZLaurent of its slices, its
+        z-exponents listed as `ZLaurent._made` lists them."""
         T = self.order
         self.slice(T)
-        return ZLaurent._made(T, None, self.slices[:T + 1])
+        return ZLaurent._made(T, self.slices[:T + 1], exps)
 
 
 def _check_window(lo, hi):
@@ -1309,6 +1286,6 @@ def _check_window(lo, hi):
 
 def _stream(zl: ZLaurent) -> ZStream:
     """The block zl as a ZStream whose slices are all known."""
-    slices = zl.t_slices()
+    slices = zl._slices
     val = next((k for k, sl in enumerate(slices) if sl.row), zl.order + 1)
     return ZStream(zl.order, val=val, slices=slices)

@@ -90,7 +90,7 @@ def tilde_system_residuals(td: TildeData):
             basepow = basepow.mul(baseB, -D2, 0)
             cur = basepow.mul(invB[c], -D2, 0).zshift(s).project("ge")
             qs = params.q[s - 1] * td.uprod ** s
-            rhs = rhs + cur.map_coeffs(lambda ts: ts.scale(qs).tshift(s))
+            rhs = rhs + cur.scale(qs).tshift(s)
         resA[c] = td.Atilde[c] - rhs
 
     baseA = one
@@ -103,7 +103,7 @@ def tilde_system_residuals(td: TildeData):
         for s in range(1, D1 + 1):
             basepow = basepow.mul(baseA, 0, D1)
             cur = basepow.mul(invA[c], 0, D1).zshift(-s).project("lt")
-            rhs = rhs + cur.map_coeffs(lambda ts: ts.scale(params.p[s - 1]))
+            rhs = rhs + cur.scale(params.p[s - 1])
         resB[c] = td.Btilde[c] - rhs
     return resA, resB
 

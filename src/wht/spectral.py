@@ -167,20 +167,6 @@ def solve_system(params: ModelParams) -> SpectralData:
     return _solve_colors(_colors_from_params(params), params)
 
 
-def system_residuals(sd: SpectralData) -> dict:
-    """Substitute the solved blocks back into their defining equations and
-    return the per-color residual blocks (all identically zero)."""
-    A2, B2, eta2, theta2 = _system_rhs(sd.colors, sd.params, sd.B, sd.theta)
-    out = {}
-    for c in sd.colors:
-        out[("A", c.label)] = sd.A[c.label] - A2[c.label]
-        out[("B", c.label)] = sd.B[c.label] - B2[c.label]
-    if sd.params.has_exp:
-        out[("eta", "")] = sd.eta - eta2
-        out[("theta", "")] = sd.theta - theta2
-    return out
-
-
 def solve_bulk_approximation(params: ModelParams, N: int) -> SpectralData:
     """Rational stand-in for the exponential weight: one extra numerator color
     of weight u_exp / N repeated N times.  Converges to the exponential model

@@ -295,6 +295,74 @@ def test_coded_laurent_operations_equal_the_decoded_route(case, lo, hi):
         ref_value(ref_stream(T, neg).exp(lo - 2, hi)))
 
 
+# --- slice sums, scalings and shifts against a column route --------------------
+
+def ref_block(T, items):
+    """The block of the (z-exponent, coefficient list) items, summed column
+    by column as a {z^e: series} dict sums them: an exponent enters where it
+    first occurs and leaves when all its coefficients vanish.  A coefficient
+    is typed by the slice rule: an int when every coefficient of the block at
+    its t-order is an integer, else a Fraction; a zero is the int 0."""
+    out = {}
+    for e, cs in items:
+        out[e] = [p + q for p, q in zip(out[e], cs)] if e in out else list(cs)
+    out = {e: cs for e, cs in out.items() if any(cs)}
+    whole = [all(F(cs[k]).denominator == 1 for cs in out.values()) for k in range(T + 1)]
+    return {e: [(int(c) if whole[k] else F(c)) if c else 0 for k, c in enumerate(cs)]
+            for e, cs in out.items()}
+
+
+def columns(zl):
+    return [(e, list(ts.coeffs)) for e, ts in zl.coeffs.items()]
+
+
+def within(items, lo, hi):
+    return [(e, cs) for e, cs in items if (lo is None or lo <= e) and (hi is None or e <= hi)]
+
+
+WINDOWS = {"lt": (None, -1), "le": (None, 0), "gt": (1, None), "ge": (0, None)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(laurent_pair(), st.one_of(st.none(), st.integers(-3, 1)),
+       st.one_of(st.none(), st.integers(-1, 3)), st.integers(-2, 2), st.integers(0, 4),
+       st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3])))
+def test_slice_sums_scalings_and_shifts_equal_the_column_route(case, lo, hi, s, dt, ci, cf):
+    T, a, b = case
+    za, zb = (ZLaurent(T, {e: TSeries(T, cs) for e, cs in blk.items()}) for blk in (a, b))
+    # kernel-made operands too, and one that cancels whole exponents of za
+    blocks = [za, zb, za.mul(zb), za.clip(None, -1)]
+
+    def check(out, items):
+        assert listing(out) == ref_listing(ref_block(T, items))
+    for x in blocks:
+        cx = columns(x)
+        for y in blocks:
+            cy = columns(y)
+            check(x + y, cx + cy)
+            check(x - y, cx + [(e, [-c for c in cs]) for e, cs in cy])
+        check(-x, [(e, [-c for c in cs]) for e, cs in cx])
+        for c in (ci, cf):
+            check(x.scale(c), [(e, [c * v for v in cs]) for e, cs in cx])
+        check(x.zshift(s), [(e + s, cs) for e, cs in cx])
+        check(x.clip(lo, hi), within(cx, lo, hi))
+        for mode, window in WINDOWS.items():
+            check(x.project(mode), within(cx, *window))
+        check(x.tshift(dt), [(e, ([0] * dt + cs)[:T + 1]) for e, cs in cx])
+
+
+def test_curve_block_lists_its_exponents_as_the_column_route():
+    # NumericCurve.Y sums H in this order, so the curve artifacts depend on
+    # it; by first appearance over H's slices it would be [-1, -2, 0, 1, 2]
+    from wht import ModelParams, solve_system
+    from wht.spectral import assemble_curve
+    for params in (
+            ModelParams.make(1, 0, u=[F(1, 2)], p=[F(1, 6), F(1, 10)], q=[F(1, 5), F(1, 8)], T=6),
+            ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3), F(2, 5)],
+                             q=[F(2, 7), F(1, 5)], T=6)):
+        assert list(assemble_curve(solve_system(params))[2].coeffs) == [0, -1, -2, 1, 2]
+
+
 # --- a cache rebuilt from decoded coefficients ---------------------------------
 
 def series_results(x, y):

@@ -66,15 +66,6 @@ def test_low_order_A_structure():
             assert ts.coeffs[k] == c.u * GENERIC_11.q[k - 1]
 
 
-def test_defining_equation_residuals_vanish():
-    from wht.spectral import system_residuals
-    for params in (GENERIC_11,
-                   ModelParams.make(1, 1, u=[F(1, 2), F(-1, 3)], p=[F(1, 3)],
-                                    q=[F(2, 7)], T=3, u_exp=F(1, 4))):
-        res = system_residuals(solve_system(params))
-        assert all(blk.is_zero() for blk in res.values())
-
-
 @pytest.mark.parametrize("field, kwargs", [
     ("u", {"u": [0.5, F(-1, 3)]}),
     ("p", {"p": [1 / 3]}),
